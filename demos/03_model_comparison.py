@@ -17,15 +17,11 @@ primes = [int(p) for p in table.primes[1:]]  # start at 3: both densities positi
 hyper = Hyperparameters()
 
 print("recursive predictive log-ratio (MT over x/log x) at the next prime:")
-s_mt = s_xl = None
-for i, p in enumerate(primes[:-1]):
-    if s_mt is None:
-        s_mt, s_xl = rb.init(hyper, MT, p), rb.init(hyper, X_OVER_LOG, p)
-    else:
-        s_mt, s_xl = rb.update(s_mt, p), rb.update(s_xl, p)
-    if s_mt.k in (100, 1000, 10_000, 100_000):
-        ratio = rb.model_compare_log_ratio(s_mt, s_xl, primes[i + 1])
-        print(f"  k = {s_mt.k:>7}  t_k = {p:>9}  log ratio = {ratio:+.4f}")
+for k in (100, 1000, 10_000, 100_000):
+    t_k = primes[k - 1]
+    s_mt, s_xl = rb.state_at(hyper, MT, k, t_k), rb.state_at(hyper, X_OVER_LOG, k, t_k)
+    ratio = rb.model_compare_log_ratio(s_mt, s_xl, primes[k])
+    print(f"  k = {k:>7}  t_k = {t_k:>9}  log ratio = {ratio:+.4f}")
 
 post_mt = nonrec.build(primes[:50], hyper, MT)
 post_xl = nonrec.build(primes[:50], hyper, X_OVER_LOG)

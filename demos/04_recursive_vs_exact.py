@@ -3,9 +3,10 @@
 
 Conditioning on k primes at once costs 2^k likelihood terms, collapsed here
 to k+1 by polynomial convolution, which still caps practical k.  The stage-
-recursive posterior is O(1) per prime.  The demo tabulates both routes'
-posterior means side by side; they provably meet as k grows, though the
-alpha gap is non-monotone and peaks around k ~ 50 before shrinking.
+recursive posterior has a closed form at every stage.  The demo tabulates
+both routes' posterior means side by side; they provably meet as k grows,
+though the alpha gap is non-monotone and peaks around k ~ 50 before
+shrinking.
 """
 
 from prime_oracle import Hyperparameters, equivalence_report, primes_up_to

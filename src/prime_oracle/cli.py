@@ -26,15 +26,21 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(TmcmcConfig)}
 
 def _read_config_file(path: str) -> dict:
     overrides = {}
-    for line_no, raw in enumerate(open(path, "r", encoding="utf-8"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _CONFIG_KEYS:
-            raise DomainError(f"{path}:{line_no}: unknown config line {line!r}")
-        overrides[key] = int(value) if key == "seed" else float(value)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _CONFIG_KEYS:
+                raise DomainError(f"{path}:{line_no}: unknown config line {line!r}")
+            try:
+                overrides[key] = int(value) if key == "seed" else float(value)
+            except ValueError:
+                raise DomainError(
+                    f"{path}:{line_no}: bad value for {key}: {value.strip()!r}"
+                ) from None
     return overrides
 
 
@@ -173,24 +179,21 @@ def _cmd_compare_models(args) -> int:
     primes = [int(p) for p in table.primes if p >= 3 and p <= limit]
     next_prime = int(table.primes[table.primes > primes[-1]][0])
     hyper = Hyperparameters()
-    checkpoints = {10**j for j in range(1, 10)} | {len(primes)}
-    state_m1 = state_m2 = None
+    n = len(primes)
     rows = []
-    for i, p in enumerate(primes):
-        if state_m1 is None:
-            state_m1 = recursive_bayes.init(hyper, MT, p)
-            state_m2 = recursive_bayes.init(hyper, X_OVER_LOG, p)
-        else:
-            state_m1 = recursive_bayes.update(state_m1, p)
-            state_m2 = recursive_bayes.update(state_m2, p)
-        if state_m1.k in checkpoints:
-            t_next = primes[i + 1] if i + 1 < len(primes) else next_prime
-            rows.append(
-                (
-                    state_m1.k,
-                    recursive_bayes.model_compare_log_ratio(state_m1, state_m2, t_next),
-                )
+    for k in sorted({10**j for j in range(1, 10) if 10**j <= n} | {n}):
+        t_k = primes[k - 1]
+        t_next = primes[k] if k < n else next_prime
+        rows.append(
+            (
+                k,
+                recursive_bayes.model_compare_log_ratio(
+                    recursive_bayes.state_at(hyper, MT, k, t_k),
+                    recursive_bayes.state_at(hyper, X_OVER_LOG, k, t_k),
+                    t_next,
+                ),
             )
+        )
     _emit_csv(args, "k,log_ratio", rows)
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -64,40 +64,34 @@ class NonRecPosterior:
     log_q: np.ndarray
 
 
-def _log_coefficients(primes: Sequence[float], model: ErrorBoundModel) -> np.ndarray:
-    """Log elementary coefficients of prod_i (C1_i alpha + C2_i beta)."""
-    k = len(primes)
-    log_c1 = np.empty(k)
-    log_c2 = np.empty(k)
-    for i, t in enumerate(primes):
+def _log_coefficient_stages(
+    primes: Sequence[float], model: ErrorBoundModel
+) -> Iterator[np.ndarray]:
+    """Log elementary coefficients of prod_{i<=j} (C1_i alpha + C2_i beta), stage by stage.
+
+    The j-th array yielded (j = 1..k) has j+1 entries; entry r is the
+    coefficient of ``alpha**r * beta**(j-r)``.
+    """
+    log_e = np.zeros(1)
+    for t in primes:
         c2 = error_density(model, t)
         if c2 <= 0.0:
             raise DomainError(
                 f"error density not positive at prime {t:g}; drop leading primes"
             )
-        log_c1[i] = math.log(li(t))
-        log_c2[i] = math.log(c2)
-
-    log_e = np.full(k + 1, -np.inf)
-    log_e[0] = 0.0
-    for i in range(k):
-        shifted = log_e[:-1] + log_c1[i]  # pick the alpha term at stage i
-        stayed = log_e + log_c2[i]  # pick the beta term at stage i
-        new = np.full(k + 1, -np.inf)
-        new[1:] = np.logaddexp(shifted, stayed[1:])
-        new[0] = stayed[0]
+        log_c1, log_c2 = math.log(li(t)), math.log(c2)
+        new = np.empty(log_e.size + 1)
+        new[0] = log_e[0] + log_c2  # the beta term at every stage so far
+        new[-1] = log_e[-1] + log_c1  # the alpha term at every stage so far
+        new[1:-1] = np.logaddexp(log_e[:-1] + log_c1, log_e[1:] + log_c2)
         log_e = new
-    return log_e
+        yield log_e
 
 
-def build(
-    primes: Sequence[float],
-    hyper: Hyperparameters,
-    model: ErrorBoundModel = RH_SQRT,
-    *,
-    cap: int = K_CAP,
-) -> NonRecPosterior:
-    """Exact posterior given ascending primes ``t_1..t_k`` (k <= cap)."""
+def _validated(
+    primes: Sequence[float], hyper: Hyperparameters, cap: int
+) -> tuple[list[float], Hyperparameters]:
+    """Check the primes and hyperparameters ``build`` accepts; return them as floats."""
     primes = [float(t) for t in primes]
     k = len(primes)
     if k < 1:
@@ -111,14 +105,19 @@ def build(
         raise DomainError(f"hyperparameters must be >= 0, got {hyper}")
     if hyper.gamma <= 0.0 or hyper.xi <= 0.0:
         raise DomainError("gamma and xi must be positive for a proper posterior")
+    return primes, hyper
 
-    t_k = primes[-1]
+
+def _posterior(
+    log_e: np.ndarray, t_k: float, hyper: Hyperparameters, model: ErrorBoundModel
+) -> NonRecPosterior:
+    """Mixture weights over the coefficients ``log_e`` of the first k primes, ending at ``t_k``."""
+    k = log_e.size - 1
     sum_b1 = hyper.a + Li(t_k)
     sum_b2 = hyper.b + error_integral(model, t_k)
     if sum_b1 <= 0.0 or sum_b2 <= 0.0:
         raise DomainError("improper posterior: a rate is zero")
 
-    log_e = _log_coefficients(primes, model)
     r = np.arange(k + 1, dtype=float)
     log_a, log_b = math.log(sum_b1), math.log(sum_b2)
     log_p = (
@@ -140,18 +139,38 @@ def build(
     return NonRecPosterior(k, hyper, model, sum_b1, sum_b2, t_k, log_e, log_p, log_q)
 
 
+def build(
+    primes: Sequence[float],
+    hyper: Hyperparameters,
+    model: ErrorBoundModel = RH_SQRT,
+    *,
+    cap: int = K_CAP,
+) -> NonRecPosterior:
+    """Exact posterior given ascending primes ``t_1..t_k`` (k <= cap)."""
+    primes, hyper = _validated(primes, hyper, cap)
+    for log_e in _log_coefficient_stages(primes, model):
+        pass
+    return _posterior(log_e, primes[-1], hyper, model)
+
+
 def mean_alpha(post: NonRecPosterior) -> float:
     r = np.arange(post.k + 1, dtype=float)
     w = np.exp(post.log_p)
     return float(np.sum(w * (post.hyper.gamma + r)) / post.sum_b1)
 
 
+def _mixture_var(w: np.ndarray, shape: np.ndarray, rate: float) -> float:
+    """Variance of a gamma mixture with a common rate: ``(E_w[s] + Var_w[s]) / rate**2``.
+
+    Written this way it avoids the cancellation of ``E[x**2] - E[x]**2``.
+    """
+    mean_shape = np.sum(w * shape)
+    return float((mean_shape + np.sum(w * (shape - mean_shape) ** 2)) / rate**2)
+
+
 def var_alpha(post: NonRecPosterior) -> float:
     r = np.arange(post.k + 1, dtype=float)
-    w = np.exp(post.log_p)
-    shape = post.hyper.gamma + r
-    second = float(np.sum(w * shape * (shape + 1.0)) / post.sum_b1**2)
-    return second - mean_alpha(post) ** 2
+    return _mixture_var(np.exp(post.log_p), post.hyper.gamma + r, post.sum_b1)
 
 
 def mean_beta(post: NonRecPosterior) -> float:
@@ -162,10 +181,7 @@ def mean_beta(post: NonRecPosterior) -> float:
 
 def var_beta(post: NonRecPosterior) -> float:
     r = np.arange(post.k + 1, dtype=float)
-    w = np.exp(post.log_q)
-    shape = post.hyper.xi + r
-    second = float(np.sum(w * shape * (shape + 1.0)) / post.sum_b2**2)
-    return second - mean_beta(post) ** 2
+    return _mixture_var(np.exp(post.log_q), post.hyper.xi + r, post.sum_b2)
 
 
 def log_predictive(post: NonRecPosterior, t_next: float) -> float:
@@ -237,33 +253,41 @@ def equivalence_report(
     hyper: Hyperparameters,
     checkpoints: Sequence[int],
     model: ErrorBoundModel = RH_SQRT,
+    *,
+    cap: int = K_CAP,
 ) -> list[EquivalenceRow]:
     """Recursive vs exact posterior means at the requested stage counts.
 
     The two inference routes share every prime, so the rows expose exactly
-    how fast the recursion's extra shape inflation washes out.
+    how fast the recursion's extra shape inflation washes out.  The exact
+    side extends one coefficient convolution through the primes and reads
+    it at each checkpoint; the recursive side is the closed-form stage state.
+    Checkpoints below 1 give no row.
     """
     cps = sorted(int(c) for c in checkpoints)
-    if cps and cps[-1] > K_CAP:
-        raise ResourceError(f"checkpoints beyond the cap {K_CAP}")
+    if cps and cps[-1] > cap:
+        raise ResourceError(f"checkpoints beyond the cap {cap}")
     if cps and cps[-1] > len(primes):
         raise DomainError("not enough primes for the requested checkpoints")
+    if not cps or cps[-1] < 1:
+        return []
+    primes, hyper = _validated(primes[: cps[-1]], hyper, cap)
+    wanted = set(cps)
     rows = []
-    state = None
-    cp_set = set(cps)
-    for i, p in enumerate(primes[: cps[-1]] if cps else []):
-        state = rb.init(hyper, model, p) if state is None else rb.update(state, p)
-        k = i + 1
-        if k in cp_set:
-            post = build(primes[:k], hyper, model)
-            rows.append(
-                EquivalenceRow(
-                    k,
-                    float(p),
-                    rb.posterior_mean_alpha(state),
-                    mean_alpha(post),
-                    rb.posterior_mean_beta(state),
-                    mean_beta(post),
-                )
+    for k, log_e in enumerate(_log_coefficient_stages(primes, model), start=1):
+        if k not in wanted:
+            continue
+        t_k = primes[k - 1]
+        post = _posterior(log_e, t_k, hyper, model)
+        state = rb.state_at(hyper, model, k, t_k)
+        rows.append(
+            EquivalenceRow(
+                k,
+                t_k,
+                rb.posterior_mean_alpha(state),
+                mean_alpha(post),
+                rb.posterior_mean_beta(state),
+                mean_beta(post),
             )
+        )
     return rows

@@ -5,7 +5,10 @@ shape parameters advanced by one) becomes the next stage's prior, so the
 posterior after k primes stays a two-component mixture of gamma-product
 densities no matter how large k grows.  The accumulated sufficient statistics
 telescope: the alpha-rate is ``a + Li(t_k)`` and the beta-rate is
-``b + F(t_k)`` for the chosen error-bound integral F.
+``b + F(t_k)`` for the chosen error-bound integral F.  So :func:`state_at`
+evaluates any stage in closed form from ``k`` and ``t_k`` alone; ``init`` and
+``update`` are thin wrappers over it, and a trajectory costs one evaluation
+per checkpoint rather than one update per prime.
 
 The posterior trajectory across checkpoints is the package's diagnostic
 instrument: the alpha mean approaches 1 under every error model (the
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .specialfn import (
@@ -37,6 +42,7 @@ __all__ = [
     "MixtureComponent",
     "GammaProductMixture",
     "TrajectoryRow",
+    "state_at",
     "init",
     "update",
     "posterior",
@@ -108,21 +114,41 @@ class TrajectoryRow(NamedTuple):
     var_beta: float
 
 
-def init(hyper: Hyperparameters, model: ErrorBoundModel, t1: float) -> RecursionState:
-    """Start the recursion at the first observed prime ``t1``."""
+def _checked_hyper(hyper: Hyperparameters) -> Hyperparameters:
     hyper = Hyperparameters(*hyper)
     if any(h < 0 for h in hyper):
         raise DomainError(f"hyperparameters must be >= 0, got {hyper}")
-    if t1 < 2.0:
-        raise DomainError(f"first prime must be >= 2, got {t1}")
+    return hyper
+
+
+def state_at(
+    hyper: Hyperparameters, model: ErrorBoundModel, k: int, t_k: float
+) -> RecursionState:
+    """Closed-form stage-k state after conditioning on ``k`` primes ending at ``t_k``.
+
+    The stage sums telescope, so the state depends on the primes only
+    through ``k`` and the last one: the rates are ``a + Li(t_k)`` and
+    ``b + F(t_k)``.
+    """
+    hyper = _checked_hyper(hyper)
+    t_k = float(t_k)
+    if t_k < 2.0:
+        raise DomainError(f"primes must be >= 2, got {t_k}")
+    if k < 1:
+        raise DomainError(f"stage count must be >= 1, got {k}")
     return RecursionState(
-        k=1,
+        k=int(k),
         hyper=hyper,
-        sum_b1=hyper.a + Li(float(t1)),
-        sum_b2=hyper.b + error_integral(model, float(t1)),
-        t_last=float(t1),
+        sum_b1=hyper.a + Li(t_k),
+        sum_b2=hyper.b + error_integral(model, t_k),
+        t_last=t_k,
         model=model,
     )
+
+
+def init(hyper: Hyperparameters, model: ErrorBoundModel, t1: float) -> RecursionState:
+    """Start the recursion at the first observed prime ``t1``."""
+    return state_at(hyper, model, 1, t1)
 
 
 def update(state: RecursionState, t_next: float) -> RecursionState:
@@ -132,20 +158,30 @@ def update(state: RecursionState, t_next: float) -> RecursionState:
         raise DomainError(
             f"primes must be strictly increasing: {t_next} after {state.t_last}"
         )
-    return RecursionState(
-        k=state.k + 1,
-        hyper=state.hyper,
-        sum_b1=state.sum_b1 + (Li(t_next) - Li(state.t_last)),
-        sum_b2=state.sum_b2
-        + (error_integral(state.model, t_next) - error_integral(state.model, state.t_last)),
-        t_last=t_next,
-        model=state.model,
+    return state_at(state.hyper, state.model, state.k + 1, t_next)
+
+
+def _log_gamma_pair(
+    lc: float, shape_a: float, log_a: float, shape_b: float, log_b: float
+) -> float:
+    """Log of ``c * Gamma(sa) / A**sa * Gamma(sb) / B**sb``."""
+    return (
+        lc
+        + math.lgamma(shape_a)
+        - shape_a * log_a
+        + math.lgamma(shape_b)
+        - shape_b * log_b
     )
 
 
-def _log_weights(state: RecursionState) -> tuple[float, float]:
-    """Normalized log weights of the two posterior components."""
-    a, b, gamma, xi = state.hyper
+def _logsumexp(values: Sequence[float]) -> float:
+    top = max(values)
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+def _component_logs(state: RecursionState) -> tuple[float, float]:
+    """Unnormalized log weights ``(lw1, lw2)`` of the two posterior components."""
+    gamma, xi = state.hyper.gamma, state.hyper.xi
     k = state.k
     shapes = (gamma + k, xi + k - 1.0, gamma + k - 1.0, xi + k)
     if min(shapes) <= 0.0:
@@ -163,67 +199,78 @@ def _log_weights(state: RecursionState) -> tuple[float, float]:
             f"recursion at {positive_density_floor(state.model)} or later"
         )
     log_a, log_b = math.log(ra), math.log(rb)
-    lw1 = (
-        math.log(li(state.t_last))
-        + math.lgamma(gamma + k)
-        - (gamma + k) * log_a
-        + math.lgamma(xi + k - 1.0)
-        - (xi + k - 1.0) * log_b
+    return (
+        _log_gamma_pair(math.log(li(state.t_last)), gamma + k, log_a, xi + k - 1.0, log_b),
+        _log_gamma_pair(math.log(c2), gamma + k - 1.0, log_a, xi + k, log_b),
     )
-    lw2 = (
-        math.log(c2)
-        + math.lgamma(gamma + k - 1.0)
-        - (gamma + k - 1.0) * log_a
-        + math.lgamma(xi + k)
-        - (xi + k) * log_b
-    )
-    top = max(lw1, lw2)
-    norm = top + math.log(math.exp(lw1 - top) + math.exp(lw2 - top))
-    return lw1 - norm, lw2 - norm
+
+
+def _weights(state: RecursionState) -> tuple[float, float]:
+    """Normalized weights ``(w1, w2)`` of the two posterior components.
+
+    Normalized through ``d = lw2 - lw1`` alone: the component logs are of
+    order ``k log k``, and subtracting their log-sum from each would leave
+    the weights summing to 1 only within ``k log k`` ulps.
+    """
+    lw1, lw2 = _component_logs(state)
+    d = lw2 - lw1
+    if d > 0.0:
+        e = math.exp(-d)
+        return e / (1.0 + e), 1.0 / (1.0 + e)
+    e = math.exp(d)
+    return 1.0 / (1.0 + e), e / (1.0 + e)
 
 
 def posterior(state: RecursionState) -> GammaProductMixture:
     """Closed-form stage-k posterior as a two-component gamma-product mixture."""
-    lw1, lw2 = _log_weights(state)
+    w1, w2 = _weights(state)
     gamma, xi = state.hyper.gamma, state.hyper.xi
     k = state.k
     ra, rb = state.sum_b1, state.sum_b2
     return GammaProductMixture(
         components=[
-            MixtureComponent(math.exp(lw1), ra, gamma + k, rb, xi + k - 1.0),
-            MixtureComponent(math.exp(lw2), ra, gamma + k - 1.0, rb, xi + k),
+            MixtureComponent(w1, ra, gamma + k, rb, xi + k - 1.0),
+            MixtureComponent(w2, ra, gamma + k - 1.0, rb, xi + k),
         ]
     )
 
 
-def posterior_mean_alpha(state: RecursionState) -> float:
-    w1, w2 = (math.exp(w) for w in _log_weights(state))
+def _mixture_moments(
+    w1: float, w2: float, s1: float, s2: float, rate: float
+) -> tuple[float, float]:
+    """Mean and variance of a two-gamma mixture with shapes ``s1 = s2 +- 1``.
+
+    The variance is ``(E_w[s] + w1*w2) / rate**2`` exactly, which avoids the
+    cancellation of ``E[x**2] - E[x]**2`` at large shapes.
+    """
+    mean_shape = w1 * s1 + w2 * s2
+    return mean_shape / rate, (mean_shape + w1 * w2) / rate**2
+
+
+def _alpha_moments(state: RecursionState, w1: float, w2: float) -> tuple[float, float]:
     gamma, k = state.hyper.gamma, state.k
-    return (w1 * (gamma + k) + w2 * (gamma + k - 1.0)) / state.sum_b1
+    return _mixture_moments(w1, w2, gamma + k, gamma + k - 1.0, state.sum_b1)
+
+
+def _beta_moments(state: RecursionState, w1: float, w2: float) -> tuple[float, float]:
+    xi, k = state.hyper.xi, state.k
+    return _mixture_moments(w1, w2, xi + k - 1.0, xi + k, state.sum_b2)
+
+
+def posterior_mean_alpha(state: RecursionState) -> float:
+    return _alpha_moments(state, *_weights(state))[0]
 
 
 def posterior_var_alpha(state: RecursionState) -> float:
-    w1, w2 = (math.exp(w) for w in _log_weights(state))
-    gamma, k = state.hyper.gamma, state.k
-    s1, s2 = gamma + k, gamma + k - 1.0
-    second = (w1 * s1 * (s1 + 1.0) + w2 * s2 * (s2 + 1.0)) / state.sum_b1**2
-    mean = (w1 * s1 + w2 * s2) / state.sum_b1
-    return second - mean * mean
+    return _alpha_moments(state, *_weights(state))[1]
 
 
 def posterior_mean_beta(state: RecursionState) -> float:
-    w1, w2 = (math.exp(w) for w in _log_weights(state))
-    xi, k = state.hyper.xi, state.k
-    return (w1 * (xi + k - 1.0) + w2 * (xi + k)) / state.sum_b2
+    return _beta_moments(state, *_weights(state))[0]
 
 
 def posterior_var_beta(state: RecursionState) -> float:
-    w1, w2 = (math.exp(w) for w in _log_weights(state))
-    xi, k = state.hyper.xi, state.k
-    s1, s2 = xi + k - 1.0, xi + k
-    second = (w1 * s1 * (s1 + 1.0) + w2 * s2 * (s2 + 1.0)) / state.sum_b2**2
-    mean = (w1 * s1 + w2 * s2) / state.sum_b2
-    return second - mean * mean
+    return _beta_moments(state, *_weights(state))[1]
 
 
 def log_posterior_predictive(state: RecursionState, t: float) -> float:
@@ -236,56 +283,28 @@ def log_posterior_predictive(state: RecursionState, t: float) -> float:
     t = float(t)
     if t <= state.t_last:
         raise DomainError("predictive point must exceed the last prime")
-    a, b, gamma, xi = state.hyper
+    log_den = _logsumexp(_component_logs(state))
+    gamma, xi = state.hyper.gamma, state.hyper.xi
     k = state.k
-    log_a, log_b = math.log(state.sum_b1), math.log(state.sum_b2)
-    ap = state.sum_b1 + (Li(t) - Li(state.t_last))
-    bp = state.sum_b2 + (error_integral(state.model, t) - error_integral(state.model, state.t_last))
+    ap = state.hyper.a + Li(t)
+    bp = state.hyper.b + error_integral(state.model, t)
     log_ap, log_bp = math.log(ap), math.log(bp)
 
     lc1_prev = math.log(li(state.t_last))
-    c2_prev = error_density(state.model, state.t_last)
-    if c2_prev <= 0.0:
-        raise DomainError("error density not positive at the conditioning prime")
-    lc2_prev = math.log(c2_prev)
+    lc2_prev = math.log(error_density(state.model, state.t_last))
     lc1_new = math.log(li(t))
     c2_new = error_density(state.model, t)
     if c2_new <= 0.0:
         raise DomainError("error density not positive at the predictive point")
     lc2_new = math.log(c2_new)
 
-    def piece(lc: float, shape_a: float, shape_b: float) -> float:
-        return (
-            lc
-            + math.lgamma(shape_a)
-            - shape_a * log_ap
-            + math.lgamma(shape_b)
-            - shape_b * log_bp
-        )
-
     terms = (
-        piece(lc1_new + lc1_prev, gamma + k + 1.0, xi + k - 1.0),
-        piece(lc2_new + lc1_prev, gamma + k, xi + k),
-        piece(lc1_new + lc2_prev, gamma + k, xi + k),
-        piece(lc2_new + lc2_prev, gamma + k - 1.0, xi + k + 1.0),
+        _log_gamma_pair(lc1_new + lc1_prev, gamma + k + 1.0, log_ap, xi + k - 1.0, log_bp),
+        _log_gamma_pair(lc2_new + lc1_prev, gamma + k, log_ap, xi + k, log_bp),
+        _log_gamma_pair(lc1_new + lc2_prev, gamma + k, log_ap, xi + k, log_bp),
+        _log_gamma_pair(lc2_new + lc2_prev, gamma + k - 1.0, log_ap, xi + k + 1.0, log_bp),
     )
-    norm_terms = (
-        lc1_prev
-        + math.lgamma(gamma + k)
-        - (gamma + k) * log_a
-        + math.lgamma(xi + k - 1.0)
-        - (xi + k - 1.0) * log_b,
-        lc2_prev
-        + math.lgamma(gamma + k - 1.0)
-        - (gamma + k - 1.0) * log_a
-        + math.lgamma(xi + k)
-        - (xi + k) * log_b,
-    )
-    top = max(terms)
-    log_num = top + math.log(sum(math.exp(v - top) for v in terms))
-    top_n = max(norm_terms)
-    log_den = top_n + math.log(sum(math.exp(v - top_n) for v in norm_terms))
-    return log_num - log_den
+    return _logsumexp(terms) - log_den
 
 
 def trajectory(
@@ -297,39 +316,29 @@ def trajectory(
     """Posterior moment rows at each checkpoint threshold.
 
     ``checkpoints`` are x-thresholds; each row reports the state after the
-    largest prime not exceeding that threshold.  Primes below the model's
+    largest prime not exceeding that threshold, and a checkpoint below the
+    first usable prime gives no row.  Primes below the model's
     positive-density floor (the prime 2 for the ``X_OVER_LOG`` and ``MT``
-    shapes) are skipped so every mixture coefficient stays positive.
+    shapes) are skipped so every mixture coefficient stays positive.  Each
+    row is evaluated in closed form from its stage count and last prime.
     """
-    floor = positive_density_floor(model)
-    cps = sorted(float(c) for c in checkpoints)
+    ts = np.asarray(primes, dtype=float)
+    ts = ts[ts >= positive_density_floor(model)]
+    if ts.size == 0:
+        return []
+    hyper = _checked_hyper(hyper)
+    if np.any(np.diff(ts) <= 0.0):
+        raise DomainError("primes must be strictly increasing")
+    cps = np.sort(np.asarray(checkpoints, dtype=float))
     rows: list[TrajectoryRow] = []
-    state: RecursionState | None = None
-    idx = 0
-
-    def flush_until(limit: float) -> None:
-        nonlocal idx
-        while idx < len(cps) and cps[idx] < limit:
-            if state is not None and state.t_last <= cps[idx]:
-                rows.append(
-                    TrajectoryRow(
-                        state.k,
-                        state.t_last,
-                        posterior_mean_alpha(state),
-                        posterior_var_alpha(state),
-                        posterior_mean_beta(state),
-                        posterior_var_beta(state),
-                    )
-                )
-            idx += 1
-
-    for p in primes:
-        p = float(p)
-        if p < floor:
+    for k in np.searchsorted(ts, cps, side="right").tolist():
+        if k == 0:
             continue
-        flush_until(p)
-        state = init(hyper, model, p) if state is None else update(state, p)
-    flush_until(math.inf)
+        state = state_at(hyper, model, k, ts[k - 1])
+        w1, w2 = _weights(state)
+        mean_a, var_a = _alpha_moments(state, w1, w2)
+        mean_b, var_b = _beta_moments(state, w1, w2)
+        rows.append(TrajectoryRow(state.k, state.t_last, mean_a, var_a, mean_b, var_b))
     return rows
 
 

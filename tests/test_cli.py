@@ -1,4 +1,7 @@
-from prime_oracle.cli import main
+import gc
+import warnings
+
+from prime_oracle.cli import _read_config_file, main
 from prime_oracle.pipeline import FILE_HEADER, load_records
 
 
@@ -187,3 +190,18 @@ class TestConfigFile:
         cfg = tmp_path / "kernel.cfg"
         cfg.write_text("not_a_key=1\n")
         assert main(["hunt", "--p0", "999983", "--iters", "100", "--config", str(cfg)]) == 2
+
+    def test_bad_value_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "kernel.cfg"
+        cfg.write_text("# kernel\nseed=abc\n")
+        assert main(["hunt", "--p0", "999983", "--iters", "100", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2" in capsys.readouterr().err
+
+    def test_file_is_closed(self, tmp_path):
+        cfg = tmp_path / "kernel.cfg"
+        cfg.write_text("add_scale=0.9\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _read_config_file(str(cfg)) == {"add_scale": 0.9}
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -230,3 +230,40 @@ class TestEquivalenceReport:
         primes = [int(p) for p in primes_small.primes[:70]]
         with pytest.raises(ResourceError):
             nb.equivalence_report(primes, FLAT, [70])
+
+    def test_incremental_pass_equals_builds(self, primes_small):
+        # one convolution read at every checkpoint does the same arithmetic
+        # as a fresh build per checkpoint, so the means are equal
+        primes = [int(p) for p in primes_small.primes[:64]]
+        rows = nb.equivalence_report(primes, FLAT, range(2, 65))
+        assert [r.k for r in rows] == list(range(2, 65))
+        for row in rows:
+            post = nb.build(primes[: row.k], FLAT, RH_SQRT)
+            assert row.t_last == primes[row.k - 1]
+            assert (row.nonrec_mean_alpha, row.nonrec_mean_beta) == (
+                nb.mean_alpha(post),
+                nb.mean_beta(post),
+            )
+
+    def test_cap_keyword(self, primes_small):
+        primes = [int(p) for p in primes_small.primes[:128]]
+        [row] = nb.equivalence_report(primes, FLAT, [128], cap=128)
+        post = nb.build(primes, FLAT, RH_SQRT, cap=128)
+        assert row.nonrec_mean_alpha == pytest.approx(nb.mean_alpha(post), rel=1e-12)
+        assert row.nonrec_mean_beta == pytest.approx(nb.mean_beta(post), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "primes, hyper, checkpoints, model",
+        [
+            ([2, 5, 3, 7], FLAT, [4], RH_SQRT),
+            ([1, 3, 5, 7], FLAT, [4], RH_SQRT),
+            ([2, 3, 5, 7], Hyperparameters(0.0, 0.0, 0.0, 1.0), [4], RH_SQRT),
+            ([2, 3, 5, 7], Hyperparameters(-1.0, 0.0, 1.0, 1.0), [4], RH_SQRT),
+            ([2, 3, 5], FLAT, [4], RH_SQRT),
+            ([3, 5], FLAT, [1], MT),  # the anchored MT integral is negative at 3
+            ([2, 3], PROPER, [2], MT),  # the MT density is negative at 2
+        ],
+    )
+    def test_rejects_what_build_rejects(self, primes, hyper, checkpoints, model):
+        with pytest.raises(DomainError):
+            nb.equivalence_report(primes, hyper, checkpoints, model)

@@ -3,21 +3,40 @@ import math
 import pytest
 from scipy.integrate import dblquad, quad
 
+from prime_oracle.cli import main
 from prime_oracle.errors import DomainError
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.recursive_bayes import Hyperparameters
 from prime_oracle.specialfn import (
     MT,
+    MT_DECAY_CONSTANT,
     RH_SQRT,
     X_OVER_LOG,
     Li,
     error_density,
     error_integral,
     li,
+    positive_density_floor,
     rh_eps,
 )
 
 FLAT = Hyperparameters()  # a=b=0, gamma=xi=1
+ALL_MODELS = (RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT)
+
+
+def folded_states(model, primes, hyper):
+    """Stage-by-stage reference for the closed form: starting from the first
+    usable prime, each stage adds the increments of Li and F across the gap
+    to the next prime.  Yields the state after every stage."""
+    usable = [float(p) for p in primes if p >= positive_density_floor(model)]
+    prev = usable[0]
+    sum_b1, sum_b2 = hyper.a + Li(prev), hyper.b + error_integral(model, prev)
+    yield rb.RecursionState(1, hyper, sum_b1, sum_b2, prev, model)
+    for k, t in enumerate(usable[1:], start=2):
+        sum_b1 += Li(t) - Li(prev)
+        sum_b2 += error_integral(model, t) - error_integral(model, prev)
+        prev = t
+        yield rb.RecursionState(k, hyper, sum_b1, sum_b2, t, model)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +199,44 @@ class TestMoments:
         assert 0.99 <= rb.posterior_mean_alpha(s) <= 1.01
         assert rb.posterior_var_alpha(s) < 2e-5
 
+    @pytest.mark.parametrize("model", [RH_SQRT, MT], ids=lambda m: m.label)
+    def test_million_scale_moments_match_mpmath(self, model, primes_2e6):
+        # the variances are (E_w[s] + w1*w2) / rate**2, free of the
+        # cancellation in E[x**2] - E[x]**2 (which loses about 8 digits
+        # here), and the weights sum to 1 although their logs are ~1e6;
+        # measured: 5e-16 relative or better on every moment
+        mp = pytest.importorskip("mpmath")
+        [row] = rb.trajectory(model, primes_2e6.primes, FLAT, [10**6])
+        with mp.workdps(40):
+            t, k = mp.mpf(row.t_last), row.k
+            decay = mp.mpf(MT_DECAY_CONSTANT)
+
+            def F_raw(x):
+                lg = mp.log(x)
+                if model is RH_SQRT:
+                    return mp.sqrt(x) * lg
+                return x * lg ** mp.mpf(-0.75) * mp.exp(-mp.sqrt(lg / decay))
+
+            lg = mp.log(t)
+            if model is RH_SQRT:
+                f = (lg / 2 + 1) / mp.sqrt(t)
+            else:
+                f = F_raw(t) * (1 - mp.mpf(0.75) / lg - 1 / (2 * mp.sqrt(decay * lg))) / t
+            rate_a = mp.ei(lg) - mp.ei(mp.log(2))
+            rate_b = F_raw(t) - F_raw(mp.mpf(2))
+            log_a, log_b = mp.log(rate_a), mp.log(rate_b)
+            lw1 = -mp.log(lg) + mp.loggamma(k + 1) - (k + 1) * log_a + mp.loggamma(k) - k * log_b
+            lw2 = mp.log(f) + mp.loggamma(k) - k * log_a + mp.loggamma(k + 1) - (k + 1) * log_b
+            w1 = 1 / (1 + mp.exp(lw2 - lw1))
+            w2 = 1 - w1
+            expected = []
+            for s1, s2, rate in ((k + 1, k, rate_a), (k, k + 1, rate_b)):
+                mean = (w1 * s1 + w2 * s2) / rate
+                second = (w1 * s1 * (s1 + 1) + w2 * s2 * (s2 + 1)) / rate**2
+                expected += [float(mean), float(second - mean**2)]
+        got = [row.mean_alpha, row.var_alpha, row.mean_beta, row.var_beta]
+        assert got == pytest.approx(expected, rel=1e-13)
+
     def test_million_scale_beta_by_model(self, primes_2e6):
         primes = [int(p) for p in primes_2e6.primes[primes_2e6.primes <= 10**6]]
         means = {}
@@ -275,6 +332,36 @@ class TestTrajectory:
         assert row.t_last == 97
         assert row.k == 25
 
+    @pytest.mark.parametrize("hyper", [FLAT, Hyperparameters(0.5, 0.3, 2.0, 1.5)])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+    def test_closed_form_matches_fold(self, model, hyper, primes_small):
+        checkpoints = [10**2, 10**3, 10**4]
+        rows = rb.trajectory(model, primes_small.primes, hyper, checkpoints)
+        states = list(folded_states(model, primes_small.primes, hyper))
+        expected = [[s for s in states if s.t_last <= cp][-1] for cp in checkpoints]
+        assert [(r.k, r.t_last) for r in rows] == [(s.k, s.t_last) for s in expected]
+        for row, state in zip(rows, expected):
+            assert row.mean_alpha == pytest.approx(rb.posterior_mean_alpha(state), rel=1e-12)
+            assert row.mean_beta == pytest.approx(rb.posterior_mean_beta(state), rel=1e-12)
+            assert row.var_alpha == pytest.approx(rb.posterior_var_alpha(state), rel=1e-12)
+            assert row.var_beta == pytest.approx(rb.posterior_var_beta(state), rel=1e-12)
+
+    @pytest.mark.parametrize("primes", [[2, 3, 7, 5, 11], [2, 3, 3, 5]])
+    def test_rejects_non_increasing(self, primes):
+        with pytest.raises(DomainError):
+            rb.trajectory(RH_SQRT, primes, FLAT, [100])
+
+    @pytest.mark.parametrize("checkpoints", [[100], [1.0]])
+    def test_rejects_negative_hyper(self, checkpoints, primes_small):
+        with pytest.raises(DomainError):
+            rb.trajectory(RH_SQRT, primes_small.primes, Hyperparameters(a=-1.0), checkpoints)
+
+    def test_checkpoint_below_first_usable_prime(self, primes_small):
+        # MT starts at 3, so a checkpoint at 2.5 has no state yet
+        for model, low in ((RH_SQRT, 1.5), (MT, 2.5)):
+            rows = rb.trajectory(model, primes_small.primes, FLAT, [low, 100])
+            assert [(r.k, r.t_last) for r in rows] == [(27 - positive_density_floor(model), 97)]
+
 
 class TestAsymptoticForms:
     def test_reference_rows(self):
@@ -325,6 +412,22 @@ class TestModelCompare:
             if s1.k in (1000, 10_000):
                 ratios.append(rb.model_compare_log_ratio(s1, s2, primes[i + 1]))
         assert ratios[0] > 0 and ratios[1] > ratios[0]
+
+    def test_cli_matches_fold(self, tmp_path, primes_2e6):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-models", "--limit", "1e4", "--out", str(out)]) == 0
+        got = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        primes = [int(p) for p in primes_2e6.primes[1:1300]]
+        n = sum(1 for p in primes if p <= 10**4)
+        pairs = zip(folded_states(MT, primes, FLAT), folded_states(X_OVER_LOG, primes, FLAT))
+        expected = [
+            (s1.k, rb.model_compare_log_ratio(s1, s2, primes[s1.k]))
+            for s1, s2 in pairs
+            if s1.k in (10, 100, 1000, n)
+        ]
+        assert [int(k) for k, _ in got] == [k for k, _ in expected] == [10, 100, 1000, 1228]
+        for (_, ratio), (_, want) in zip(got, expected):
+            assert float(ratio) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestHyperRobustness:
