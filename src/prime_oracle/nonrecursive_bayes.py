@@ -159,18 +159,9 @@ def mean_alpha(post: NonRecPosterior) -> float:
     return float(np.sum(w * (post.hyper.gamma + r)) / post.sum_b1)
 
 
-def _mixture_var(w: np.ndarray, shape: np.ndarray, rate: float) -> float:
-    """Variance of a gamma mixture with a common rate: ``(E_w[s] + Var_w[s]) / rate**2``.
-
-    Written this way it avoids the cancellation of ``E[x**2] - E[x]**2``.
-    """
-    mean_shape = np.sum(w * shape)
-    return float((mean_shape + np.sum(w * (shape - mean_shape) ** 2)) / rate**2)
-
-
 def var_alpha(post: NonRecPosterior) -> float:
     r = np.arange(post.k + 1, dtype=float)
-    return _mixture_var(np.exp(post.log_p), post.hyper.gamma + r, post.sum_b1)
+    return rb._mixture_var(np.exp(post.log_p), post.hyper.gamma + r, post.sum_b1)
 
 
 def mean_beta(post: NonRecPosterior) -> float:
@@ -181,7 +172,7 @@ def mean_beta(post: NonRecPosterior) -> float:
 
 def var_beta(post: NonRecPosterior) -> float:
     r = np.arange(post.k + 1, dtype=float)
-    return _mixture_var(np.exp(post.log_q), post.hyper.xi + r, post.sum_b2)
+    return rb._mixture_var(np.exp(post.log_q), post.hyper.xi + r, post.sum_b2)
 
 
 def log_predictive(post: NonRecPosterior, t_next: float) -> float:

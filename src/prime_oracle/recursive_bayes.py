@@ -174,11 +174,6 @@ def _log_gamma_pair(
     )
 
 
-def _logsumexp(values: Sequence[float]) -> float:
-    top = max(values)
-    return top + math.log(sum(math.exp(v - top) for v in values))
-
-
 def _component_logs(state: RecursionState) -> tuple[float, float]:
     """Unnormalized log weights ``(lw1, lw2)`` of the two posterior components."""
     gamma, xi = state.hyper.gamma, state.hyper.xi
@@ -235,42 +230,46 @@ def posterior(state: RecursionState) -> GammaProductMixture:
     )
 
 
-def _mixture_moments(
-    w1: float, w2: float, s1: float, s2: float, rate: float
-) -> tuple[float, float]:
-    """Mean and variance of a two-gamma mixture with shapes ``s1 = s2 +- 1``.
+def _mixture_var(w: Sequence[float], shape: Sequence[float], rate: float) -> float:
+    """Variance of a gamma mixture with a common rate: ``(E_w[s] + Var_w[s]) / rate**2``.
 
-    The variance is ``(E_w[s] + w1*w2) / rate**2`` exactly, which avoids the
-    cancellation of ``E[x**2] - E[x]**2`` at large shapes.
+    Written this way it avoids the cancellation of ``E[x**2] - E[x]**2`` at
+    large shapes.  Summed over plain floats, since the recursive posterior
+    has only two components; the exact posterior passes its arrays too.
     """
-    mean_shape = w1 * s1 + w2 * s2
-    return mean_shape / rate, (mean_shape + w1 * w2) / rate**2
+    mean_shape = math.fsum(wi * si for wi, si in zip(w, shape))
+    spread = math.fsum(wi * (si - mean_shape) ** 2 for wi, si in zip(w, shape))
+    return float((mean_shape + spread) / rate**2)
 
 
-def _alpha_moments(state: RecursionState, w1: float, w2: float) -> tuple[float, float]:
-    gamma, k = state.hyper.gamma, state.k
-    return _mixture_moments(w1, w2, gamma + k, gamma + k - 1.0, state.sum_b1)
+def _alpha_moments(state: RecursionState, w: tuple[float, float]) -> tuple[float, float]:
+    """Mean and variance of alpha under the component weights ``w``."""
+    s = state.hyper.gamma + state.k
+    mean = (w[0] * s + w[1] * (s - 1.0)) / state.sum_b1
+    return mean, _mixture_var(w, (s, s - 1.0), state.sum_b1)
 
 
-def _beta_moments(state: RecursionState, w1: float, w2: float) -> tuple[float, float]:
-    xi, k = state.hyper.xi, state.k
-    return _mixture_moments(w1, w2, xi + k - 1.0, xi + k, state.sum_b2)
+def _beta_moments(state: RecursionState, w: tuple[float, float]) -> tuple[float, float]:
+    """Mean and variance of beta under the component weights ``w``."""
+    s = state.hyper.xi + state.k
+    mean = (w[0] * (s - 1.0) + w[1] * s) / state.sum_b2
+    return mean, _mixture_var(w, (s - 1.0, s), state.sum_b2)
 
 
 def posterior_mean_alpha(state: RecursionState) -> float:
-    return _alpha_moments(state, *_weights(state))[0]
+    return _alpha_moments(state, _weights(state))[0]
 
 
 def posterior_var_alpha(state: RecursionState) -> float:
-    return _alpha_moments(state, *_weights(state))[1]
+    return _alpha_moments(state, _weights(state))[1]
 
 
 def posterior_mean_beta(state: RecursionState) -> float:
-    return _beta_moments(state, *_weights(state))[0]
+    return _beta_moments(state, _weights(state))[0]
 
 
 def posterior_var_beta(state: RecursionState) -> float:
-    return _beta_moments(state, *_weights(state))[1]
+    return _beta_moments(state, _weights(state))[1]
 
 
 def log_posterior_predictive(state: RecursionState, t: float) -> float:
@@ -283,7 +282,7 @@ def log_posterior_predictive(state: RecursionState, t: float) -> float:
     t = float(t)
     if t <= state.t_last:
         raise DomainError("predictive point must exceed the last prime")
-    log_den = _logsumexp(_component_logs(state))
+    log_den = np.logaddexp(*_component_logs(state))
     gamma, xi = state.hyper.gamma, state.hyper.xi
     k = state.k
     ap = state.hyper.a + Li(t)
@@ -304,7 +303,7 @@ def log_posterior_predictive(state: RecursionState, t: float) -> float:
         _log_gamma_pair(lc1_new + lc2_prev, gamma + k, log_ap, xi + k, log_bp),
         _log_gamma_pair(lc2_new + lc2_prev, gamma + k - 1.0, log_ap, xi + k + 1.0, log_bp),
     )
-    return _logsumexp(terms) - log_den
+    return float(np.logaddexp.reduce(terms) - log_den)
 
 
 def trajectory(
@@ -335,9 +334,9 @@ def trajectory(
         if k == 0:
             continue
         state = state_at(hyper, model, k, ts[k - 1])
-        w1, w2 = _weights(state)
-        mean_a, var_a = _alpha_moments(state, w1, w2)
-        mean_b, var_b = _beta_moments(state, w1, w2)
+        w = _weights(state)
+        mean_a, var_a = _alpha_moments(state, w)
+        mean_b, var_b = _beta_moments(state, w)
         rows.append(TrajectoryRow(state.k, state.t_last, mean_a, var_a, mean_b, var_b))
     return rows
 

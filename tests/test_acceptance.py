@@ -304,13 +304,8 @@ def test_criterion_09_nonrecursive_oracle(primes_2e6):
     # the falling side, k=64..1024, where each step must shrink the gap.
     ladder = (5, 64, 128, 256, 512, 1024)
     all_primes = [int(p) for p in primes_2e6.primes[: ladder[-1]]]
-    gaps = []
-    state = None
-    for k, p in enumerate(all_primes, start=1):
-        state = rb.init(FLAT, RH_SQRT, p) if state is None else rb.update(state, p)
-        if k in ladder:
-            post = nb.build(all_primes[:k], FLAT, RH_SQRT, cap=k)
-            gaps.append(abs(rb.posterior_mean_alpha(state) - nb.mean_alpha(post)))
+    rows = nb.equivalence_report(all_primes, FLAT, ladder, RH_SQRT, cap=ladder[-1])
+    gaps = [row.gap_alpha for row in rows]
     shrinking = all(g2 < g1 for g1, g2 in zip(gaps[1:], gaps[2:]))
     below_start = gaps[-1] < gaps[0]
     verdict(

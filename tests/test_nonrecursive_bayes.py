@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import gammaln, logsumexp
 
 from prime_oracle.errors import DomainError, ResourceError
 from prime_oracle import nonrecursive_bayes as nb
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.recursive_bayes import Hyperparameters
-from prime_oracle.specialfn import MT, RH_SQRT, X_OVER_LOG, error_density, li
+from prime_oracle.specialfn import (
+    MT,
+    RH_SQRT,
+    X_OVER_LOG,
+    Li,
+    error_density,
+    error_integral,
+    li,
+)
 
 FLAT = Hyperparameters()
 PROPER = Hyperparameters(1.0, 1.0, 1.0, 1.0)
@@ -46,6 +55,14 @@ class TestBuild:
         post = nb.build(primes, FLAT if k > 1 else PROPER, RH_SQRT)
         expected = subset_coefficients(primes, RH_SQRT)
         np.testing.assert_allclose(np.exp(post.log_e), expected, rtol=1e-10)
+
+    def test_every_stage_equals_enumeration(self, primes_small):
+        primes = [float(p) for p in primes_small.primes[:12]]
+        stages = list(nb._log_coefficient_stages(primes, RH_SQRT))
+        assert len(stages) == len(primes)
+        for j, log_e in enumerate(stages, start=1):
+            expected = subset_coefficients(primes[:j], RH_SQRT)
+            np.testing.assert_allclose(np.exp(log_e), expected, rtol=1e-10)
 
     def test_weights_normalized(self, primes_small):
         primes = [int(p) for p in primes_small.primes[:10]]
@@ -231,19 +248,38 @@ class TestEquivalenceReport:
         with pytest.raises(ResourceError):
             nb.equivalence_report(primes, FLAT, [70])
 
-    def test_incremental_pass_equals_builds(self, primes_small):
-        # one convolution read at every checkpoint does the same arithmetic
-        # as a fresh build per checkpoint, so the means are equal
+    def test_incremental_pass_matches_fixed_width_convolution(self, primes_small):
+        # reference: every coefficient array held at full width k+1 and
+        # padded with -inf, so no stage treats its end terms specially
         primes = [int(p) for p in primes_small.primes[:64]]
-        rows = nb.equivalence_report(primes, FLAT, range(2, 65))
-        assert [r.k for r in rows] == list(range(2, 65))
-        for row in rows:
-            post = nb.build(primes[: row.k], FLAT, RH_SQRT)
-            assert row.t_last == primes[row.k - 1]
-            assert (row.nonrec_mean_alpha, row.nonrec_mean_beta) == (
-                nb.mean_alpha(post),
-                nb.mean_beta(post),
+        k_max = len(primes)
+        log_e = np.full(k_max + 1, -np.inf)
+        log_e[0] = 0.0
+        expected = {}
+        for k, t in enumerate(primes, start=1):
+            log_c1 = math.log(li(float(t)))
+            log_c2 = math.log(error_density(RH_SQRT, float(t)))
+            new = log_e + log_c2
+            new[1:] = np.logaddexp(log_e[:-1] + log_c1, new[1:])
+            log_e = new
+            if k == 1:
+                continue  # the flat prior is improper at k=1 (Li(2) = 0)
+            a, b = Li(float(t)), error_integral(RH_SQRT, float(t))
+            r = np.arange(k + 1, dtype=float)
+            log_p = (
+                log_e[: k + 1]
+                + gammaln(1.0 + r) - (1.0 + r) * math.log(a)
+                + gammaln(1.0 + k - r) - (1.0 + k - r) * math.log(b)
             )
+            p = np.exp(log_p - logsumexp(log_p))
+            expected[k] = (np.sum(p * (1.0 + r)) / a, np.sum(p[::-1] * (1.0 + r)) / b)
+        rows = nb.equivalence_report(primes, FLAT, range(2, k_max + 1))
+        assert [r.k for r in rows] == list(range(2, k_max + 1))
+        for row in rows:
+            assert row.t_last == primes[row.k - 1]
+            mean_a, mean_b = expected[row.k]
+            assert row.nonrec_mean_alpha == pytest.approx(mean_a, rel=1e-12)
+            assert row.nonrec_mean_beta == pytest.approx(mean_b, rel=1e-12)
 
     def test_cap_keyword(self, primes_small):
         primes = [int(p) for p in primes_small.primes[:128]]

@@ -201,7 +201,7 @@ class TestMoments:
 
     @pytest.mark.parametrize("model", [RH_SQRT, MT], ids=lambda m: m.label)
     def test_million_scale_moments_match_mpmath(self, model, primes_2e6):
-        # the variances are (E_w[s] + w1*w2) / rate**2, free of the
+        # the variances are (E_w[s] + Var_w[s]) / rate**2, free of the
         # cancellation in E[x**2] - E[x]**2 (which loses about 8 digits
         # here), and the weights sum to 1 although their logs are ~1e6;
         # measured: 5e-16 relative or better on every moment
