@@ -366,37 +366,18 @@ def write_records(path, records: Iterable[CandidateRecord]) -> None:
             fh.write(rec.to_json() + "\n")
 
 
-def load_records(path, self_check: bool = True) -> list[CandidateRecord]:
-    """Read records back; by default re-verifies every value is prime.
+def load_records(path) -> list[CandidateRecord]:
+    """Read records back, re-verifying that every value is prime.
 
     The primality re-check is the startup self-check against a corrupted or
     hand-edited store (record construction re-runs the proof).
     """
-    path = Path(path)
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if self_check:
+            if line and not line.startswith("#"):
                 records.append(CandidateRecord.from_json(line))
-            else:
-                obj = json.loads(line)
-                rec = object.__new__(CandidateRecord)
-                for name, caster in (
-                    ("value", int),
-                    ("p0", int),
-                    ("k", int),
-                    ("seed", int),
-                    ("iteration_found", int),
-                    ("target_kind", str),
-                ):
-                    object.__setattr__(rec, name, caster(obj[name]))
-                object.__setattr__(rec, "kind", RecordKind(obj["kind"]))
-                dc = obj.get("digit_count")
-                object.__setattr__(rec, "digit_count", None if dc is None else int(dc))
-                records.append(rec)
     return records
 
 

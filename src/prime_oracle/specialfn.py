@@ -11,6 +11,11 @@ integrals selected by :class:`ErrorBoundModel`:
   sharpest explicit unconditional bound on ``|pi(x) - Li(x)|`` (up to its
   multiplicative constant, which is deliberately omitted).
 
+Each model is defined once, in :func:`error_forms`, as ``log F_raw`` and the
+elasticity ``x f / F_raw`` written in ``log x`` and ``log log x``.  The array
+and scalar functions here (``F``, ``f`` and their logs, the positive-density
+floor) and the hunt targets of :mod:`.tmcmc` are all derived from that form.
+
 Every ``F`` handed to callers by :func:`error_integral` is anchored at 2
 (``F(2) == 0``) so that stage sums over consecutive primes telescope exactly.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expi
@@ -36,6 +42,7 @@ __all__ = [
     "rh_eps",
     "li",
     "Li",
+    "error_forms",
     "error_integral",
     "error_integral_raw",
     "error_density",
@@ -164,24 +171,50 @@ def Li(x):
     return _ret(x, expi(np.log(arr)) - _EXPI_LOG2)
 
 
+def error_forms(model: ErrorBoundModel) -> tuple[Callable, Callable]:
+    """The one definition of each error bound: ``(log_raw, elasticity)``.
+
+    Written in ``lg = log x`` and ``llg = log lg``, ``log_raw(lg, llg)`` is
+    ``log F_raw(x)`` and ``elasticity(lg)`` is ``x f(x) / F_raw(x)``, so that
+    ``f = F_raw * elasticity / x``.  Both are plain arithmetic and take floats
+    and numpy arrays alike; every function below and every hunt target in
+    :mod:`.tmcmc` derives from them.  Each elasticity increases with ``x``.
+    """
+    v = model.variant
+    if v is Variant.RH_SQRT:
+        return (lambda lg, llg: 0.5 * lg + llg), (lambda lg: 0.5 + 1.0 / lg)
+    if v is Variant.RH_EPS:
+        power = 0.5 + model.epsilon
+        return (lambda lg, llg: power * lg), (lambda lg: power)
+    if v is Variant.X_OVER_LOG:
+        return (lambda lg, llg: lg - llg), (lambda lg: 1.0 - 1.0 / lg)
+    decay = MT_DECAY_CONSTANT
+    return (
+        (lambda lg, llg: lg - 0.75 * llg - (lg / decay) ** 0.5),
+        (lambda lg: 1.0 - 0.75 / lg - 0.5 / (decay * lg) ** 0.5),
+    )
+
+
+def _logs(x, lo: float, *, strict: bool, what: str):
+    """``(x, log x, log log x)`` as arrays, after the domain check."""
+    arr = _check_min(x, lo, strict=strict, what=what)
+    lg = np.log(arr)
+    return arr, lg, np.log(lg)
+
+
+def log_error_integral_raw(model: ErrorBoundModel, x):
+    """``log F_raw(x)`` for ``x > 1``."""
+    _, lg, llg = _logs(x, 1.0, strict=True, what="log_error_integral_raw")
+    return _ret(x, error_forms(model)[0](lg, llg))
+
+
 def error_integral_raw(model: ErrorBoundModel, x):
     """The un-anchored closed form of ``F`` (no subtraction at 2).
 
     Valid for ``x > 1``; prefer :func:`error_integral` in anything that sums
     stage contributions, which is anchored so ``F(2) == 0``.
     """
-    arr = _check_min(x, 1.0, strict=True, what="error_integral_raw")
-    v = model.variant
-    if v is Variant.RH_SQRT:
-        out = np.sqrt(arr) * np.log(arr)
-    elif v is Variant.RH_EPS:
-        out = arr ** (0.5 + model.epsilon)
-    elif v is Variant.X_OVER_LOG:
-        out = arr / np.log(arr)
-    else:  # MT
-        lg = np.log(arr)
-        out = arr * lg ** (-0.75) * np.exp(-np.sqrt(lg / MT_DECAY_CONSTANT))
-    return _ret(x, out)
+    return _ret(x, np.exp(log_error_integral_raw(model, x)))
 
 
 def error_integral(model: ErrorBoundModel, x):
@@ -199,74 +232,30 @@ def error_density(model: ErrorBoundModel, x):
     returned exactly; see :func:`positive_density_floor` for the first prime
     at which each density is safe to use as a mixture coefficient.
     """
-    arr = _check_min(x, 2.0, strict=False, what="error_density")
-    v = model.variant
-    if v is Variant.RH_SQRT:
-        out = (0.5 * np.log(arr) + 1.0) / np.sqrt(arr)
-    elif v is Variant.RH_EPS:
-        out = (0.5 + model.epsilon) * arr ** (model.epsilon - 0.5)
-    elif v is Variant.X_OVER_LOG:
-        if np.any(arr <= _E):
-            raise DomainError("X_OVER_LOG density is not positive below e")
-        lg = np.log(arr)
-        out = (lg - 1.0) / lg**2
-    else:  # MT
-        lg = np.log(arr)
-        out = error_integral_raw(model, arr) * (
-            1.0 / arr
-            - 0.75 / (arr * lg)
-            - 1.0 / (2.0 * arr * np.sqrt(MT_DECAY_CONSTANT * lg))
-        )
-    return _ret(x, out)
+    arr, lg, llg = _logs(x, 2.0, strict=False, what="error_density")
+    if model.variant is Variant.X_OVER_LOG and np.any(arr <= _E):
+        raise DomainError("X_OVER_LOG density is not positive below e")
+    log_raw, elasticity = error_forms(model)
+    # (F_raw / x) * elasticity: taking the exp of log F_raw - log x keeps f(2)
+    # correctly rounded for RH_SQRT, where exp(log F_raw) * e / x is 1.2 ulp off
+    return _ret(x, np.exp(log_raw(lg, llg) - lg) * elasticity(lg))
+
+
+def log_error_density(model: ErrorBoundModel, x):
+    """``log f(x)`` for ``x >= 2``, raising where the density is <= 0."""
+    arr, lg, llg = _logs(x, 2.0, strict=False, what="log_error_density")
+    log_raw, elasticity = error_forms(model)
+    e = elasticity(lg)
+    if np.any(e <= 0.0):
+        raise DomainError(f"{model.label} density is not positive at x={np.min(arr):g}")
+    return _ret(x, log_raw(lg, llg) - lg + np.log(e))
 
 
 def positive_density_floor(model: ErrorBoundModel) -> int:
     """Smallest prime at which ``error_density`` is strictly positive.
 
-    2 for the power-law variants; 3 for ``X_OVER_LOG`` (negative below ``e``)
-    and ``MT`` (negative below roughly 2.57).
+    2 where the elasticity is positive at 2 (the power-law variants), else 3
+    (``X_OVER_LOG`` is negative below ``e``, ``MT`` below roughly 2.57).  The
+    elasticity increases with ``x`` and is positive at 3 for every model.
     """
-    if model.variant in (Variant.X_OVER_LOG, Variant.MT):
-        return 3
-    return 2
-
-
-# ---------------------------------------------------------------------------
-# Scalar log-space forms.  These are the hot path of the TMCMC targets, so
-# they stay on the math module and avoid array dispatch.
-# ---------------------------------------------------------------------------
-
-
-def log_error_integral_raw(model: ErrorBoundModel, x: float) -> float:
-    """``log F_raw(x)`` for scalar ``x > 1``."""
-    if x <= 1.0:
-        raise DomainError("log_error_integral_raw requires x > 1")
-    v = model.variant
-    lg = math.log(x)
-    if v is Variant.RH_SQRT:
-        return 0.5 * lg + math.log(lg)
-    if v is Variant.RH_EPS:
-        return (0.5 + model.epsilon) * lg
-    if v is Variant.X_OVER_LOG:
-        return lg - math.log(lg)
-    return lg - 0.75 * math.log(lg) - math.sqrt(lg / MT_DECAY_CONSTANT)
-
-
-def log_error_density(model: ErrorBoundModel, x: float) -> float:
-    """``log f(x)`` for scalar ``x``, raising where the density is <= 0."""
-    if x < 2.0:
-        raise DomainError("log_error_density requires x >= 2")
-    v = model.variant
-    lg = math.log(x)
-    if v is Variant.RH_SQRT:
-        return math.log(0.5 * lg + 1.0) - 0.5 * lg
-    if v is Variant.RH_EPS:
-        return math.log(0.5 + model.epsilon) + (model.epsilon - 0.5) * lg
-    if v is Variant.X_OVER_LOG:
-        if x <= _E:
-            raise DomainError("X_OVER_LOG density is not positive below e")
-        return math.log(lg - 1.0) - 2.0 * math.log(lg)
-    slope = 1.0 - 0.75 / lg - 0.5 / math.sqrt(MT_DECAY_CONSTANT * lg)
-    if slope <= 0.0:
-        raise DomainError(f"MT density is not positive at x={x:g}")
-    return log_error_integral_raw(model, x) - lg + math.log(slope)
+    return 2 if error_forms(model)[1](_LOG2) > 0.0 else 3

@@ -27,14 +27,7 @@ from typing import Callable, Iterator
 
 from .errors import DomainError
 from .numtheory import is_prime_u64
-from .specialfn import (
-    MT,
-    MT_DECAY_CONSTANT,
-    ErrorBoundModel,
-    Variant,
-    log_error_density,
-    log_error_integral_raw,
-)
+from .specialfn import MT, ErrorBoundModel, error_forms, positive_density_floor
 
 __all__ = [
     "Z_MAX",
@@ -45,7 +38,6 @@ __all__ = [
     "make_log_target",
     "log_target",
     "initial_z",
-    "step",
     "run",
     "run_steps",
 ]
@@ -54,7 +46,6 @@ __all__ = [
 Z_MAX = 700.0
 
 _LOG2 = math.log(2.0)
-_INV_MT = 1.0 / MT_DECAY_CONSTANT
 
 
 class TargetKind(enum.Enum):
@@ -77,6 +68,14 @@ class HuntTarget:
             raise DomainError(f"p0 must be prime, got {self.p0}")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
+        # GENERAL_H2 takes log f at every u > p0.  The elasticity x f / F
+        # grows with x, so f > 0 there once p0 is at the model's floor.
+        floor = positive_density_floor(self.model)
+        if self.kind is TargetKind.GENERAL_H2 and self.p0 < floor:
+            raise DomainError(
+                f"the {self.model.label} density is not positive above p0={self.p0}; "
+                f"use p0 >= {floor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,47 +102,36 @@ def make_log_target(target: HuntTarget) -> Callable[[float], float]:
 
     The returned callable assumes ``z <= Z_MAX`` (the kernel screens this)
     and is kept free of array dispatch: it sits inside loops that run for
-    tens of millions of iterations.
+    tens of millions of iterations.  It calls the model's ``log F_raw`` form
+    (:func:`.specialfn.error_forms`) once, on the logs it has already taken.
     """
     p0 = float(target.p0)
     k = float(target.k)
-    model = target.model
-    kind = target.kind
-    mt_fast = model.variant is Variant.MT
+    log_raw, elasticity = error_forms(target.model)
+    exp, log = math.exp, math.log
 
-    if kind is TargetKind.GENERAL_H2:
+    if target.kind is TargetKind.GENERAL_H2:
         def log_t(z: float) -> float:
-            u = math.exp(z) + p0
-            lu = math.log(u)
-            lf = log_error_density(model, u)
-            l_int = log_error_integral_raw(model, u)
-            return lf - k * (lu + l_int - math.log(lu)) + z
+            u = exp(z) + p0
+            lu = log(u)
+            llu = log(lu)
+            l_int = log_raw(lu, llu)
+            lf = l_int - lu + log(elasticity(lu))
+            return lf - k * (lu + l_int - llu) + z
 
         return log_t
 
-    mers = kind is TargetKind.MERSENNE_H1
+    mers = target.kind is TargetKind.MERSENNE_H1
 
-    if mt_fast:
-        def log_t(z: float) -> float:
-            ez = math.exp(z)
-            u = ez + p0
-            lu = math.log(u)
-            llu = math.log(lu)
-            l_int = lu - 0.75 * llu - math.sqrt(lu * _INV_MT)
-            out = -llu - k * (lu + l_int - llu) + z
-            if mers:
-                out -= ez * _LOG2
-            return out
-    else:
-        def log_t(z: float) -> float:
-            ez = math.exp(z)
-            u = ez + p0
-            lu = math.log(u)
-            l_int = log_error_integral_raw(model, u)
-            out = -math.log(lu) - k * (lu + l_int - math.log(lu)) + z
-            if mers:
-                out -= ez * _LOG2
-            return out
+    def log_t(z: float) -> float:
+        ez = exp(z)
+        u = ez + p0
+        lu = log(u)
+        llu = log(lu)
+        out = -llu - k * (lu + log_raw(lu, llu) - llu) + z
+        if mers:
+            out -= ez * _LOG2
+        return out
 
     return log_t
 
@@ -219,66 +207,20 @@ class TmcmcChain:
         return chain
 
 
-def _resolve(target) -> Callable[[float], float]:
-    return target if callable(target) else make_log_target(target)
-
-
-def step(chain: TmcmcChain, target, config: TmcmcConfig) -> TmcmcChain:
-    """Advance the chain by one kernel application (mutates and returns it).
-
-    Draw protocol, shared verbatim with :func:`run_steps`: move type, then
-    sign, then (only when the log acceptance ratio is negative) the
-    acceptance uniform.
-    """
-    log_t = _resolve(target)
-    rng = chain.rng
-    z = chain.z
-    lz = chain.log_density
-    if lz is None:
-        lz = log_t(z)
-
-    if rng.random() < config.p_add:
-        z_new = z + (config.add_scale if rng.random() < 0.5 else -config.add_scale)
-        log_jac = 0.0
-        chain.proposals_add += 1
-        additive = True
-    else:
-        log_jac = config.mult_scale if rng.random() < 0.5 else -config.mult_scale
-        z_new = z * math.exp(log_jac)
-        chain.proposals_mult += 1
-        additive = False
-
-    accepted = False
-    if abs(z_new) > Z_MAX:
-        chain.auto_rejects += 1
-    else:
-        d = log_t(z_new) - lz + log_jac
-        if d >= 0.0 or rng.random() < math.exp(d):
-            accepted = True
-            chain.z = z_new
-            chain.log_density = lz + (d - log_jac)
-            if additive:
-                chain.accepts_add += 1
-            else:
-                chain.accepts_mult += 1
-    if not accepted:
-        chain.log_density = lz
-    chain.iteration += 1
-    return chain
-
-
 def run_steps(
     chain: TmcmcChain, target, config: TmcmcConfig, iterations: int
 ) -> Iterator[tuple[int, float, bool]]:
     """Advance an existing chain, yielding ``(iteration, z, accepted)``.
 
-    Identical in distribution (and in the literal random stream) to calling
-    :func:`step` the same number of times; the loop is merely inlined because
-    production runs take 1e7 iterations.
+    Draw protocol per step: move type, then sign, then (only when the log
+    acceptance ratio is negative) the acceptance uniform.  The chain's RNG
+    advances in place, and its log density and counters are written back
+    when the generator finishes or is closed, so a chain advanced in several
+    calls follows the same stream as one advanced in a single call.
     """
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
-    log_t = _resolve(target)
+    log_t = target if callable(target) else make_log_target(target)
     rng_random = chain.rng.random
     p_add = config.p_add
     add_scale = config.add_scale
@@ -329,16 +271,7 @@ def run_steps(
         chain.auto_rejects += auto
 
 
-def run(
-    target, config: TmcmcConfig, iterations: int, burn_in: int = 0
-) -> Iterator[tuple[int, float, bool]]:
-    """Fresh seeded chain advanced for ``iterations`` steps.
-
-    Every sample is yielded, including the first ``burn_in``: burn-in is a
-    labelling convention (consumers filter on ``iteration > burn_in``), not a
-    discard rule, because a prime found early is still a prime.
-    """
-    if burn_in < 0:
-        raise DomainError("burn_in must be >= 0")
+def run(target, config: TmcmcConfig, iterations: int) -> Iterator[tuple[int, float, bool]]:
+    """Fresh seeded chain advanced for ``iterations`` steps."""
     chain = TmcmcChain(initial_z(target), config.seed)
     return run_steps(chain, target, config, iterations)

@@ -187,18 +187,16 @@ def test_criterion_06_mt_slow_divergence(timed_trajectories):
 
 def test_criterion_07_model_comparison(primes_2e6):
     primes = [int(p) for p in primes_2e6.primes[1:]]
-    stage_targets = (1000, 10_000, 100_000)
-    s_mt = s_xl = None
-    ratios = []
-    for i, p in enumerate(primes[:-1]):
-        if s_mt is None:
-            s_mt, s_xl = rb.init(FLAT, MT, p), rb.init(FLAT, X_OVER_LOG, p)
-        else:
-            s_mt, s_xl = rb.update(s_mt, p), rb.update(s_xl, p)
-        if s_mt.k in stage_targets:
-            ratios.append(rb.model_compare_log_ratio(s_mt, s_xl, primes[i + 1]))
-        if s_mt.k >= stage_targets[-1]:
-            break
+    # the state after the first k primes (from 3) is evaluated in closed form
+    # at its checkpoint; the ratio is taken at the next prime, primes[k]
+    ratios = [
+        rb.model_compare_log_ratio(
+            rb.state_at(FLAT, MT, k, primes[k - 1]),
+            rb.state_at(FLAT, X_OVER_LOG, k, primes[k - 1]),
+            primes[k],
+        )
+        for k in (1000, 10_000, 100_000)
+    ]
     post_mt = nb.build(primes[:50], FLAT, MT)
     post_xl = nb.build(primes[:50], FLAT, X_OVER_LOG)
     nonrec = nb.log_predictive(post_mt, primes[50]) - nb.log_predictive(post_xl, primes[50])

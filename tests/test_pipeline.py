@@ -217,7 +217,6 @@ class TestPersistence:
         path.write_text(FILE_HEADER + "\n" + json.dumps(obj) + "\n")
         with pytest.raises(DomainError):
             load_records(path)
-        assert len(load_records(path, self_check=False)) == 1
 
     def test_record_validation(self):
         with pytest.raises(DomainError):

@@ -193,9 +193,7 @@ class TestMoments:
 
     def test_million_scale_alpha(self, primes_2e6):
         primes = primes_2e6.primes[primes_2e6.primes <= 10**6]
-        s = rb.init(FLAT, RH_SQRT, int(primes[0]))
-        for p in primes[1:]:
-            s = rb.update(s, int(p))
+        s = rb.state_at(FLAT, RH_SQRT, len(primes), int(primes[-1]))
         assert 0.99 <= rb.posterior_mean_alpha(s) <= 1.01
         assert rb.posterior_var_alpha(s) < 2e-5
 
@@ -242,9 +240,7 @@ class TestMoments:
         means = {}
         for model in (RH_SQRT, X_OVER_LOG):
             start = 0 if model is RH_SQRT else 1
-            s = None
-            for p in primes[start:]:
-                s = rb.init(FLAT, model, p) if s is None else rb.update(s, p)
+            s = rb.state_at(FLAT, model, len(primes) - start, primes[-1])
             means[model.label] = rb.posterior_mean_beta(s)
         assert 5.0 <= means["rh-sqrt"] <= 6.5
         assert 1.05 <= means["x-over-log"] <= 1.12
@@ -435,8 +431,6 @@ class TestHyperRobustness:
         primes = [int(p) for p in primes_2e6.primes[primes_2e6.primes <= 10**6]]
         means = []
         for hyper in (FLAT, Hyperparameters(5.0, 5.0, 3.0, 3.0)):
-            s = None
-            for p in primes:
-                s = rb.init(hyper, RH_SQRT, p) if s is None else rb.update(s, p)
+            s = rb.state_at(hyper, RH_SQRT, len(primes), primes[-1])
             means.append(rb.posterior_mean_alpha(s))
         assert abs(means[0] - means[1]) < 1e-3

@@ -151,19 +151,31 @@ class TestErrorDensity:
 
 
 class TestLogForms:
+    # each x is checked as a scalar and inside an array, so both return
+    # paths of the log forms and of the forms they are compared with run
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
-    def test_log_raw_integral(self, model):
-        for x in (5.0, 1e3, 1e7):
-            assert log_error_integral_raw(model, x) == pytest.approx(
-                math.log(error_integral_raw(model, x)), rel=1e-12
-            )
+    @given(x=st.floats(min_value=3.0, max_value=1e15))
+    @settings(max_examples=60, deadline=None)
+    def test_log_raw_integral(self, model, x):
+        assert log_error_integral_raw(model, x) == pytest.approx(
+            math.log(error_integral_raw(model, x)), rel=1e-12
+        )
+        xs = np.array([x, 3.0, 1e15])
+        np.testing.assert_allclose(
+            log_error_integral_raw(model, xs), np.log(error_integral_raw(model, xs)), rtol=1e-12
+        )
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
-    def test_log_density(self, model):
-        for x in (5.0, 1e3, 1e7):
-            assert log_error_density(model, x) == pytest.approx(
-                math.log(error_density(model, x)), rel=1e-12
-            )
+    @given(x=st.floats(min_value=3.0, max_value=1e15))
+    @settings(max_examples=60, deadline=None)
+    def test_log_density(self, model, x):
+        assert log_error_density(model, x) == pytest.approx(
+            math.log(error_density(model, x)), rel=1e-12
+        )
+        xs = np.array([x, 3.0, 1e15])
+        np.testing.assert_allclose(
+            log_error_density(model, xs), np.log(error_density(model, xs)), rtol=1e-12
+        )
 
     def test_log_density_guards(self):
         with pytest.raises(DomainError):

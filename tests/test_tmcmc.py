@@ -6,7 +6,14 @@ from scipy.stats import norm
 
 from prime_oracle.errors import DomainError
 from prime_oracle.numtheory import is_prime_u64
-from prime_oracle.specialfn import MT, error_density, error_integral_raw
+from prime_oracle.specialfn import (
+    MT,
+    RH_SQRT,
+    X_OVER_LOG,
+    error_density,
+    error_integral_raw,
+    rh_eps,
+)
 from prime_oracle.tmcmc import (
     Z_MAX,
     HuntTarget,
@@ -17,11 +24,11 @@ from prime_oracle.tmcmc import (
     log_target,
     run,
     run_steps,
-    step,
 )
 
 P0 = 1_000_003  # prime
 K0 = 87_846  # k log k ~ p0
+ALL_MODELS = [RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT]
 
 
 def standard_normal_log_density(z: float) -> float:
@@ -51,25 +58,29 @@ class TestLogTarget:
             diff = log_target(mer, z) - log_target(gen, z)
             assert diff == pytest.approx(-math.exp(z) * math.log(2.0), abs=1e-8)
 
-    def test_general_h2_uses_error_density(self):
-        h1 = HuntTarget(TargetKind.GENERAL_H1, P0, K0)
-        h2 = HuntTarget(TargetKind.GENERAL_H2, P0, K0)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+    def test_general_h2_uses_error_density(self, model):
+        h1 = HuntTarget(TargetKind.GENERAL_H1, P0, K0, model)
+        h2 = HuntTarget(TargetKind.GENERAL_H2, P0, K0, model)
         z = 4.0
         u = math.exp(z) + P0
-        expected = math.log(error_density(MT, u) * math.log(u))
+        expected = math.log(error_density(model, u) * math.log(u))
         assert log_target(h2, z) - log_target(h1, z) == pytest.approx(expected, abs=1e-8)
 
-    def test_derivative_matches_analytic_composition(self):
-        target = HuntTarget(TargetKind.GENERAL_H1, P0, K0)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+    def test_derivative_matches_analytic_composition(self, model):
+        target = HuntTarget(TargetKind.GENERAL_H1, P0, K0, model)
         z = 5.0
         ez = math.exp(z)
         u = ez + P0
         lu = math.log(u)
-        f_over_raw = error_density(MT, u) / error_integral_raw(MT, u)
+        f_over_raw = error_density(model, u) / error_integral_raw(model, u)
         analytic = 1.0 + ez * (
             -1.0 / (u * lu) - K0 * (1.0 / u + f_over_raw - 1.0 / (u * lu))
         )
-        h = 1e-6
+        # the target is ~2e6 here, so h = 1e-6 leaves ~1e-5 rounding noise in
+        # the difference quotient; at h = 1e-4 it is below 1e-7 for every model
+        h = 1e-4
         fd = (log_target(target, z + h) - log_target(target, z - h)) / (2.0 * h)
         assert fd == pytest.approx(analytic, rel=1e-5)
 
@@ -89,6 +100,10 @@ class TestLogTarget:
             HuntTarget(TargetKind.GENERAL_H1, 1_000_004, K0)  # composite p0
         with pytest.raises(DomainError):
             HuntTarget(TargetKind.GENERAL_H1, P0, 0)
+        # the MT density is negative on (2, 2.57): H2 needs p0 >= 3
+        HuntTarget(TargetKind.GENERAL_H1, 2, 1, MT)
+        with pytest.raises(DomainError):
+            HuntTarget(TargetKind.GENERAL_H2, 2, 1, MT)
 
     def test_initial_state(self):
         assert initial_z(HuntTarget(TargetKind.GENERAL_H1, P0, K0)) == pytest.approx(
@@ -103,7 +118,7 @@ class TestKernel:
         chain = TmcmcChain(0.0, seed=1)
         cfg = TmcmcConfig(p_add=1.0, p_mult=0.0, add_scale=0.7, mult_scale=0.1)
         for _ in range(500):
-            step(chain, lambda z: 1.25, cfg)
+            list(run_steps(chain, lambda z: 1.25, cfg, 1))
         assert chain.accepts_add == 500
         assert chain.auto_rejects == 0
 
@@ -126,7 +141,7 @@ class TestKernel:
         flows = pi[:, None] * P
         np.testing.assert_allclose(flows, flows.T, atol=1e-12)
 
-        # the same probabilities are realized by step(): check empirically
+        # the same probabilities are realized by the kernel: check empirically
         cfg = TmcmcConfig(p_add=1.0, p_mult=0.0, add_scale=delta, mult_scale=0.1)
         target = lambda z: standard_normal_log_density(z) if abs(z) <= 1.0 + 1e-9 else -math.inf
         counts = np.zeros((n, n))
@@ -136,7 +151,7 @@ class TestKernel:
             for _ in range(trials):
                 rng_chain.z = lattice[i]
                 rng_chain.log_density = None
-                step(rng_chain, target, cfg)
+                list(run_steps(rng_chain, target, cfg, 1))
                 j = int(np.argmin(np.abs(lattice - rng_chain.z)))
                 counts[i, j] += 1
         freq = counts / trials
@@ -168,7 +183,7 @@ class TestKernel:
         for idx, z0 in enumerate(points):
             chain = TmcmcChain(float(z0), seed=10_000 + idx)
             for _ in range(10):
-                step(chain, standard_normal_log_density, cfg)
+                list(run_steps(chain, standard_normal_log_density, cfg, 1))
             out[idx] = chain.z
         se = 1.0 / math.sqrt(len(points))
         assert abs(out.mean()) <= 3 * se
@@ -178,7 +193,7 @@ class TestKernel:
         cfg = TmcmcConfig(p_add=1.0, p_mult=0.0, add_scale=5.0, mult_scale=0.1)
         flat = lambda z: 0.0
         for _ in range(200):
-            step(chain, flat, cfg)
+            list(run_steps(chain, flat, cfg, 1))
         assert chain.auto_rejects > 0
 
 
@@ -189,18 +204,17 @@ class TestReproducibility:
         a = list(run(target, cfg, 5000))
         b = list(run(target, cfg, 5000))
         assert a == b
-        c = list(run(target, cfg, 5000, burn_in=1000))
-        assert a == c  # burn-in labels, never drops
 
     def test_run_equals_step_loop(self):
+        # one run of 3000 equals 3000 one-step run_steps calls resuming the
+        # same chain: the draw protocol carries over from call to call
         target = HuntTarget(TargetKind.GENERAL_H1, P0, K0)
         cfg = TmcmcConfig(seed=9)
-        via_run = [z for _, z, _ in run(target, cfg, 3000)]
+        via_run = list(run(target, cfg, 3000))
         chain = TmcmcChain(initial_z(target), cfg.seed)
         via_step = []
         for _ in range(3000):
-            step(chain, target, cfg)
-            via_step.append(chain.z)
+            via_step.extend(run_steps(chain, target, cfg, 1))
         assert via_run == via_step
 
     def test_snapshot_resume(self):
