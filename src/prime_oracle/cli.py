@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -214,7 +215,9 @@ def _cmd_simulate_nhpp(args) -> int:
 def _cmd_equivalence(args) -> int:
     if args.kmax < 2 or args.kmax > nonrecursive_bayes.K_CAP:
         raise DomainError(f"--kmax must lie in [2, {nonrecursive_bayes.K_CAP}]")
-    table = primes_up_to(10_000)
+    # p_k < k (log k + log log k) for k >= 6 (Rosser and Schoenfeld, 1962)
+    k = max(args.kmax, 6)
+    table = primes_up_to(int(k * (math.log(k) + math.log(math.log(k)))))
     primes = [int(p) for p in table.primes[: args.kmax]]
     # k = 1 with the flat default prior is improper (empty error integral at
     # t = 2), so the report starts at stage 2.

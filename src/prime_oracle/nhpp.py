@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import ErrorBoundModel, IntensityParams, Li, error_density, error_integral, li
+from .specialfn import (
+    ErrorBoundModel,
+    IntensityParams,
+    Li,
+    error_density,
+    error_forms,
+    error_integral,
+    li,
+)
 
 __all__ = [
     "EventStream",
@@ -58,9 +66,18 @@ def cumulative_intensity(
 
 
 def _hazard(model: ErrorBoundModel, params: IntensityParams, t):
+    """``alpha*li(t) + beta*f(t)`` with the signed density ``f`` of :func:`error_forms`.
+
+    ``error_density`` refuses ``X_OVER_LOG`` below ``e``, where f < 0,
+    because a posterior coefficient must be positive.  The process only
+    needs the whole intensity to be positive, which ``simulate`` checks on
+    its grid.
+    """
     lam = params.alpha * li(t)
     if params.beta != 0.0:
-        lam = lam + params.beta * error_density(model, t)
+        log_raw, elasticity = error_forms(model)
+        lg = np.log(t)
+        lam = lam + params.beta * np.exp(log_raw(lg, np.log(lg)) - lg) * elasticity(lg)
     return lam
 
 
@@ -69,11 +86,14 @@ def log_waiting_density(
 ) -> float:
     """Log density of the next event at ``t`` given the last one at ``t_prev``.
 
-    Equals ``-Lambda((t_prev, t]) + log(alpha*li(t) + beta*f(t))``.
+    Equals ``-Lambda((t_prev, t]) + log(alpha*li(t) + beta*f(t))``, with
+    ``f`` from ``error_density``, so ``X_OVER_LOG`` below ``e`` is refused.
     """
     if not (t > t_prev >= 2.0):
         raise DomainError("log_waiting_density requires t > t_prev >= 2")
-    lam = _hazard(model, params, t)
+    lam = params.alpha * li(t)
+    if params.beta != 0.0:
+        lam += params.beta * error_density(model, t)
     if lam <= 0.0:
         raise DomainError(f"non-positive hazard at t={t:g}")
     return -cumulative_intensity(model, params, t_prev, t) + math.log(lam)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "is_prime_u64",
     "lucas_lehmer",
     "mersenne_digit_count",
-    "save_prime_table",
-    "load_prime_table",
     "LUCAS_LEHMER_CEILING",
     "SIEVE_LIMIT_CEILING",
 ]
@@ -38,8 +35,6 @@ LUCAS_LEHMER_CEILING = 100_000
 
 #: Largest sieve limit this module will attempt.
 SIEVE_LIMIT_CEILING = 10**9
-
-_CACHE_MAGIC = b"PRIMTBL1"
 
 # 56 digits of log10(2); exact digit counts for any exponent a float could
 # silently get wrong near an integer boundary.
@@ -134,7 +129,7 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-def lucas_lehmer(p: int, *, ceiling: int = LUCAS_LEHMER_CEILING) -> bool:
+def lucas_lehmer(p: int) -> bool:
     """True iff ``2**p - 1`` is prime, for an odd prime exponent ``p``.
 
     Runs the classical residue recursion ``s <- s*s - 2 (mod 2**p - 1)``
@@ -143,9 +138,9 @@ def lucas_lehmer(p: int, *, ceiling: int = LUCAS_LEHMER_CEILING) -> bool:
     p = int(p)
     if p == 2 or not is_prime_u64(p) or p % 2 == 0:
         raise DomainError(f"lucas_lehmer requires an odd prime exponent, got {p}")
-    if p > ceiling:
+    if p > LUCAS_LEHMER_CEILING:
         raise ResourceError(
-            f"exponent {p} exceeds the configured Lucas-Lehmer ceiling {ceiling}"
+            f"exponent {p} exceeds the Lucas-Lehmer ceiling {LUCAS_LEHMER_CEILING}"
         )
     m = (1 << p) - 1
     s = 4
@@ -164,26 +159,3 @@ def mersenne_digit_count(p: int) -> int:
         raise DomainError(f"mersenne_digit_count requires p >= 1, got {p}")
     return int(Decimal(p) * _LOG10_2) + 1
 
-
-def save_prime_table(table: PrimeTable, path) -> None:
-    """Write a table as magic header + little-endian u64 limit + u64 primes."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(np.uint64(table.limit).tobytes())
-        fh.write(table.primes.astype("<u8").tobytes())
-
-
-def load_prime_table(path, limit: int) -> PrimeTable | None:
-    """Load a cached table, but only if it was built for exactly ``limit``."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    raw = path.read_bytes()
-    if len(raw) < len(_CACHE_MAGIC) + 8 or raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        return None
-    stored_limit = int(np.frombuffer(raw, dtype="<u8", count=1, offset=len(_CACHE_MAGIC))[0])
-    if stored_limit != int(limit):
-        return None
-    primes = np.frombuffer(raw, dtype="<u8", offset=len(_CACHE_MAGIC) + 8).astype(np.uint64)
-    return PrimeTable(stored_limit, primes)

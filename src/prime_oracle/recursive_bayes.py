@@ -10,6 +10,10 @@ evaluates any stage in closed form from ``k`` and ``t_k`` alone; ``init`` and
 ``update`` are thin wrappers over it, and a trajectory costs one evaluation
 per checkpoint rather than one update per prime.
 
+The stage-k posterior is the exact one-prime posterior under the prior
+advanced k-1 stages, so one gamma-mixture core (weights, moments and
+predictive) serves this module and :mod:`.nonrecursive_bayes` alike.
+
 The posterior trajectory across checkpoints is the package's diagnostic
 instrument: the alpha mean approaches 1 under every error model (the
 prime-count analogue of the classical x/log x law), while the beta mean
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError
 from .specialfn import (
@@ -161,149 +166,147 @@ def update(state: RecursionState, t_next: float) -> RecursionState:
     return state_at(state.hyper, state.model, state.k + 1, t_next)
 
 
-def _log_gamma_pair(
-    lc: float, shape_a: float, log_a: float, shape_b: float, log_b: float
-) -> float:
-    """Log of ``c * Gamma(sa) / A**sa * Gamma(sb) / B**sb``."""
-    return (
-        lc
-        + math.lgamma(shape_a)
-        - shape_a * log_a
-        + math.lgamma(shape_b)
-        - shape_b * log_b
-    )
+class _Mixture(NamedTuple):
+    """Components ``Gamma(a0 + r, A) x Gamma(b0 + m - r, B)``, r = 0..m.
+
+    ``state`` supplies the rates ``A = sum_b1`` and ``B = sum_b2`` together
+    with the model, prior and last prime that the predictive extends from;
+    ``w`` are the normalized weights and ``log_w`` their logs.
+    """
+
+    state: RecursionState
+    w: np.ndarray
+    log_w: np.ndarray
+    shape_a: np.ndarray
+    shape_b: np.ndarray
 
 
-def _component_logs(state: RecursionState) -> tuple[float, float]:
-    """Unnormalized log weights ``(lw1, lw2)`` of the two posterior components."""
-    gamma, xi = state.hyper.gamma, state.hyper.xi
-    k = state.k
-    shapes = (gamma + k, xi + k - 1.0, gamma + k - 1.0, xi + k)
-    if min(shapes) <= 0.0:
-        raise DomainError(f"improper posterior component: shapes {shapes}")
+def _mixture(state: RecursionState, log_c, a0: float, b0: float) -> _Mixture:
+    """The posterior whose component r carries coefficient ``exp(log_c[r])``.
+
+    Component r's weight is ``c_r Gamma(a0+r) / A**(a0+r) * Gamma(b0+m-r) /
+    B**(b0+m-r)``.  The logs are of order ``k log k``, so they are normalized
+    by subtracting their maximum: subtracting their log-sum from each would
+    leave the weights summing to 1 only within ``k log k`` ulps.
+    """
+    if a0 <= 0.0 or b0 <= 0.0:
+        raise DomainError(f"improper posterior component: base shapes {a0}, {b0}")
     ra, rb = state.sum_b1, state.sum_b2
     if ra <= 0.0 or rb <= 0.0:
         raise DomainError(
             "improper posterior: non-positive rate (the accumulated integrals "
             "are empty or negative this close to the support edge)"
         )
+    log_c = np.asarray(log_c, dtype=float)
+    r = np.arange(log_c.size, dtype=float)
+    shape_a, shape_b = a0 + r, b0 + (log_c.size - 1) - r
+    lw = (
+        log_c
+        + gammaln(shape_a)
+        - shape_a * math.log(ra)
+        + gammaln(shape_b)
+        - shape_b * math.log(rb)
+    )
+    lw = lw - lw.max()
+    w = np.exp(lw)
+    total = w.sum()
+    return _Mixture(state, w / total, lw - math.log(total), shape_a, shape_b)
+
+
+def _stage_mixture(state: RecursionState) -> _Mixture:
+    """The stage-k posterior as a two-component mixture.
+
+    It is the exact one-prime posterior under the prior advanced k-1 stages:
+    base shapes ``gamma + k - 1`` and ``xi + k - 1``, coefficients
+    ``f(t_k)`` (r = 0) and ``li(t_k)`` (r = 1).
+    """
     c2 = error_density(state.model, state.t_last)
     if c2 <= 0.0:
         raise DomainError(
             f"error density is not positive at t={state.t_last:g}; start the "
             f"recursion at {positive_density_floor(state.model)} or later"
         )
-    log_a, log_b = math.log(ra), math.log(rb)
-    return (
-        _log_gamma_pair(math.log(li(state.t_last)), gamma + k, log_a, xi + k - 1.0, log_b),
-        _log_gamma_pair(math.log(c2), gamma + k - 1.0, log_a, xi + k, log_b),
-    )
+    advanced = state.k - 1
+    log_c = (math.log(c2), math.log(li(state.t_last)))
+    return _mixture(state, log_c, state.hyper.gamma + advanced, state.hyper.xi + advanced)
 
 
-def _weights(state: RecursionState) -> tuple[float, float]:
-    """Normalized weights ``(w1, w2)`` of the two posterior components.
+def _moments(mix: _Mixture) -> tuple[float, float, float, float]:
+    """``(mean_alpha, var_alpha, mean_beta, var_beta)`` of a mixture.
 
-    Normalized through ``d = lw2 - lw1`` alone: the component logs are of
-    order ``k log k``, and subtracting their log-sum from each would leave
-    the weights summing to 1 only within ``k log k`` ulps.
+    Each variance is ``(E_w[s] + Var_w[s]) / rate**2`` over the component
+    shapes s, which avoids the cancellation of ``E[x**2] - E[x]**2`` at
+    large shapes.  Every summand is non-negative, so plain sums lose
+    nothing to cancellation.
     """
-    lw1, lw2 = _component_logs(state)
-    d = lw2 - lw1
-    if d > 0.0:
-        e = math.exp(-d)
-        return e / (1.0 + e), 1.0 / (1.0 + e)
-    e = math.exp(d)
-    return 1.0 / (1.0 + e), e / (1.0 + e)
+    out: list[float] = []
+    for shape, rate in ((mix.shape_a, mix.state.sum_b1), (mix.shape_b, mix.state.sum_b2)):
+        mean_shape = float(mix.w @ shape)
+        spread = float(mix.w @ (shape - mean_shape) ** 2)
+        out += [mean_shape / rate, (mean_shape + spread) / rate**2]
+    return tuple(out)
+
+
+def _log_predictive(mix: _Mixture, t: float) -> float:
+    """Log density of the next prime's position at ``t > t_last``.
+
+    With ``A' = a + Li(t)`` and ``B' = b + F(t)`` this is ``log sum_r w_r
+    (A/A')**sa_r (B/B')**sb_r (li(t) sa_r / A' + f(t) sb_r / B')``: each
+    component's expected hazard at ``t`` times its survival over
+    ``(t_last, t]``, summed in log space.
+    """
+    state = mix.state
+    t = float(t)
+    if t <= state.t_last:
+        raise DomainError("predictive point must exceed the last prime")
+    c2 = error_density(state.model, t)
+    if c2 <= 0.0:
+        raise DomainError("error density not positive at the predictive point")
+    ap = state.hyper.a + Li(t)
+    bp = state.hyper.b + error_integral(state.model, t)
+    # log(A/A') = -log1p((A' - A)/A): no rounding of log(A) near k log k
+    log_ra = -math.log1p((ap - state.sum_b1) / state.sum_b1)
+    log_rb = -math.log1p((bp - state.sum_b2) / state.sum_b2)
+    z = (
+        mix.log_w
+        + mix.shape_a * log_ra
+        + mix.shape_b * log_rb
+        + np.log(li(t) * mix.shape_a / ap + c2 * mix.shape_b / bp)
+    )
+    top = z.max()
+    return float(top + math.log(np.exp(z - top).sum()))
 
 
 def posterior(state: RecursionState) -> GammaProductMixture:
     """Closed-form stage-k posterior as a two-component gamma-product mixture."""
-    w1, w2 = _weights(state)
-    gamma, xi = state.hyper.gamma, state.hyper.xi
-    k = state.k
-    ra, rb = state.sum_b1, state.sum_b2
+    mix = _stage_mixture(state)
     return GammaProductMixture(
         components=[
-            MixtureComponent(w1, ra, gamma + k, rb, xi + k - 1.0),
-            MixtureComponent(w2, ra, gamma + k - 1.0, rb, xi + k),
+            MixtureComponent(w, state.sum_b1, sa, state.sum_b2, sb)
+            for w, sa, sb in zip(mix.w.tolist(), mix.shape_a.tolist(), mix.shape_b.tolist())
         ]
     )
 
 
-def _mixture_var(w: Sequence[float], shape: Sequence[float], rate: float) -> float:
-    """Variance of a gamma mixture with a common rate: ``(E_w[s] + Var_w[s]) / rate**2``.
-
-    Written this way it avoids the cancellation of ``E[x**2] - E[x]**2`` at
-    large shapes.  Summed over plain floats, since the recursive posterior
-    has only two components; the exact posterior passes its arrays too.
-    """
-    mean_shape = math.fsum(wi * si for wi, si in zip(w, shape))
-    spread = math.fsum(wi * (si - mean_shape) ** 2 for wi, si in zip(w, shape))
-    return float((mean_shape + spread) / rate**2)
-
-
-def _alpha_moments(state: RecursionState, w: tuple[float, float]) -> tuple[float, float]:
-    """Mean and variance of alpha under the component weights ``w``."""
-    s = state.hyper.gamma + state.k
-    mean = (w[0] * s + w[1] * (s - 1.0)) / state.sum_b1
-    return mean, _mixture_var(w, (s, s - 1.0), state.sum_b1)
-
-
-def _beta_moments(state: RecursionState, w: tuple[float, float]) -> tuple[float, float]:
-    """Mean and variance of beta under the component weights ``w``."""
-    s = state.hyper.xi + state.k
-    mean = (w[0] * (s - 1.0) + w[1] * s) / state.sum_b2
-    return mean, _mixture_var(w, (s - 1.0, s), state.sum_b2)
-
-
 def posterior_mean_alpha(state: RecursionState) -> float:
-    return _alpha_moments(state, _weights(state))[0]
+    return _moments(_stage_mixture(state))[0]
 
 
 def posterior_var_alpha(state: RecursionState) -> float:
-    return _alpha_moments(state, _weights(state))[1]
+    return _moments(_stage_mixture(state))[1]
 
 
 def posterior_mean_beta(state: RecursionState) -> float:
-    return _beta_moments(state, _weights(state))[0]
+    return _moments(_stage_mixture(state))[2]
 
 
 def posterior_var_beta(state: RecursionState) -> float:
-    return _beta_moments(state, _weights(state))[1]
+    return _moments(_stage_mixture(state))[3]
 
 
 def log_posterior_predictive(state: RecursionState, t: float) -> float:
-    """Log density of the next prime's position at ``t > t_last``.
-
-    Four gamma-ratio terms; the stage sums are extended across (t_last, t]
-    and the new coefficients are evaluated at ``t`` itself.  Everything is
-    assembled in log space since the gamma functions overflow near k ~ 170.
-    """
-    t = float(t)
-    if t <= state.t_last:
-        raise DomainError("predictive point must exceed the last prime")
-    log_den = np.logaddexp(*_component_logs(state))
-    gamma, xi = state.hyper.gamma, state.hyper.xi
-    k = state.k
-    ap = state.hyper.a + Li(t)
-    bp = state.hyper.b + error_integral(state.model, t)
-    log_ap, log_bp = math.log(ap), math.log(bp)
-
-    lc1_prev = math.log(li(state.t_last))
-    lc2_prev = math.log(error_density(state.model, state.t_last))
-    lc1_new = math.log(li(t))
-    c2_new = error_density(state.model, t)
-    if c2_new <= 0.0:
-        raise DomainError("error density not positive at the predictive point")
-    lc2_new = math.log(c2_new)
-
-    terms = (
-        _log_gamma_pair(lc1_new + lc1_prev, gamma + k + 1.0, log_ap, xi + k - 1.0, log_bp),
-        _log_gamma_pair(lc2_new + lc1_prev, gamma + k, log_ap, xi + k, log_bp),
-        _log_gamma_pair(lc1_new + lc2_prev, gamma + k, log_ap, xi + k, log_bp),
-        _log_gamma_pair(lc2_new + lc2_prev, gamma + k - 1.0, log_ap, xi + k + 1.0, log_bp),
-    )
-    return float(np.logaddexp.reduce(terms) - log_den)
+    """Log density of the next prime's position at ``t > t_last``."""
+    return _log_predictive(_stage_mixture(state), t)
 
 
 def trajectory(
@@ -334,10 +337,7 @@ def trajectory(
         if k == 0:
             continue
         state = state_at(hyper, model, k, ts[k - 1])
-        w = _weights(state)
-        mean_a, var_a = _alpha_moments(state, w)
-        mean_b, var_b = _beta_moments(state, w)
-        rows.append(TrajectoryRow(state.k, state.t_last, mean_a, var_a, mean_b, var_b))
+        rows.append(TrajectoryRow(state.k, state.t_last, *_moments(_stage_mixture(state))))
     return rows
 
 

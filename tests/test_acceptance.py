@@ -302,7 +302,7 @@ def test_criterion_09_nonrecursive_oracle(primes_2e6):
     # the falling side, k=64..1024, where each step must shrink the gap.
     ladder = (5, 64, 128, 256, 512, 1024)
     all_primes = [int(p) for p in primes_2e6.primes[: ladder[-1]]]
-    rows = nb.equivalence_report(all_primes, FLAT, ladder, RH_SQRT, cap=ladder[-1])
+    rows = nb.equivalence_report(all_primes, FLAT, ladder, RH_SQRT)
     gaps = [row.gap_alpha for row in rows]
     shrinking = all(g2 < g1 for g1, g2 in zip(gaps[1:], gaps[2:]))
     below_start = gaps[-1] < gaps[0]

@@ -134,7 +134,7 @@ class TestDiagnosticsCommands:
         assert all(float(r["gap_alpha"]) >= 0 for r in rows)
 
     def test_equivalence_cap(self):
-        assert main(["equivalence", "--kmax", "65"]) == 2
+        assert main(["equivalence", "--kmax", "4097"]) == 2
 
 
 class TestVerifyAndLl:

@@ -99,6 +99,14 @@ class TestSimulate:
         assert np.all(np.diff(t) > 0)
         assert t[0] >= 2.0 and t[-1] <= 1e4
 
+    def test_x_over_log_events_below_e(self):
+        # the X_OVER_LOG density is negative below e, yet the intensity
+        # alpha*li + beta*f stays positive there, so every seed simulates
+        for seed in range(20):
+            t = simulate(X_OVER_LOG, NEAR_PNT, 1e3, seed=seed).times
+            assert np.all(np.diff(t) > 0)
+            assert t[0] >= 2.0 and t[-1] <= 1e3
+
     def test_deterministic_per_seed(self):
         a = simulate(MT, UNIT, 1e4, seed=7)
         b = simulate(MT, UNIT, 1e4, seed=7)

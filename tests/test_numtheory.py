@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from prime_oracle.errors import DomainError, ResourceError
 from prime_oracle.numtheory import (
     is_prime_u64,
-    load_prime_table,
     lucas_lehmer,
     mersenne_digit_count,
     primes_up_to,
-    save_prime_table,
 )
 
 
@@ -153,24 +151,3 @@ class TestDigitCount:
     def test_domain(self):
         with pytest.raises(DomainError):
             mersenne_digit_count(0)
-
-
-class TestTableCache:
-    def test_round_trip(self, tmp_path, primes_small):
-        path = tmp_path / "table.bin"
-        save_prime_table(primes_small, path)
-        loaded = load_prime_table(path, primes_small.limit)
-        assert loaded is not None
-        assert loaded.limit == primes_small.limit
-        assert np.array_equal(loaded.primes, primes_small.primes)
-
-    def test_limit_mismatch_refused(self, tmp_path, primes_small):
-        path = tmp_path / "table.bin"
-        save_prime_table(primes_small, path)
-        assert load_prime_table(path, primes_small.limit + 1) is None
-
-    def test_garbage_refused(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        assert load_prime_table(path, 100) is None
-        assert load_prime_table(tmp_path / "absent.bin", 100) is None

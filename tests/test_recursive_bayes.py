@@ -247,6 +247,48 @@ class TestMoments:
 
 
 class TestPredictive:
+    @pytest.mark.parametrize("model", [RH_SQRT, MT], ids=lambda m: m.label)
+    def test_million_scale_matches_mpmath(self, model, primes_2e6):
+        # the four gamma-ratio terms of the stage-k predictive over the two
+        # terms of its normalizer, in 50-digit arithmetic from the same Li,
+        # F, li and f values; the terms are of order k log k ~ 1e6, where one
+        # ulp is 1.2e-10
+        mp = pytest.importorskip("mpmath")
+        k = 78_497
+        primes = [int(p) for p in primes_2e6.primes[positive_density_floor(model) - 2 :]]
+        t_k, t = float(primes[k - 1]), float(primes[k])
+        assert t_k == (999_979.0 if model is RH_SQRT else 999_983.0)
+        state = rb.state_at(FLAT, model, k, t_k)
+        got = rb.log_posterior_predictive(state, t)
+        with mp.workdps(50):
+            a, b = mp.mpf(state.sum_b1), mp.mpf(state.sum_b2)
+            ap, bp = mp.mpf(Li(t)), mp.mpf(error_integral(model, t))
+            c1, c2 = mp.mpf(li(t_k)), mp.mpf(error_density(model, t_k))
+            n1, n2 = mp.mpf(li(t)), mp.mpf(error_density(model, t))
+
+            def log_term(c, sa, sb, ra, rb_):
+                # log of c * Gamma(sa) / ra**sa * Gamma(sb) / rb_**sb
+                return (
+                    mp.log(c) + mp.loggamma(sa) - sa * mp.log(ra)
+                    + mp.loggamma(sb) - sb * mp.log(rb_)
+                )
+
+            num = [
+                log_term(n1 * c1, k + 2, k, ap, bp),
+                log_term(n2 * c1, k + 1, k + 1, ap, bp),
+                log_term(n1 * c2, k + 1, k + 1, ap, bp),
+                log_term(n2 * c2, k, k + 2, ap, bp),
+            ]
+            den = [log_term(c1, k + 1, k, a, b), log_term(c2, k, k + 1, a, b)]
+            top, bot = max(num), max(den)
+            expected = (
+                top
+                + mp.log(mp.fsum(mp.exp(x - top) for x in num))
+                - bot
+                - mp.log(mp.fsum(mp.exp(x - bot) for x in den))
+            )
+        assert got == pytest.approx(float(expected), rel=0, abs=1e-11)
+
     def test_matches_posterior_integral(self, state_k5):
         mix = rb.posterior(state_k5)
         tk = state_k5.t_last
