@@ -18,7 +18,6 @@ from .specialfn import (
     ErrorBoundModel,
     IntensityParams,
     Li,
-    error_density,
     error_forms,
     error_integral,
     li,
@@ -86,14 +85,13 @@ def log_waiting_density(
 ) -> float:
     """Log density of the next event at ``t`` given the last one at ``t_prev``.
 
-    Equals ``-Lambda((t_prev, t]) + log(alpha*li(t) + beta*f(t))``, with
-    ``f`` from ``error_density``, so ``X_OVER_LOG`` below ``e`` is refused.
+    Equals ``-Lambda((t_prev, t]) + log(alpha*li(t) + beta*f(t))`` with the
+    hazard of :func:`_hazard`, the one ``simulate`` inverts; a hazard that is
+    not positive at ``t`` is refused.
     """
     if not (t > t_prev >= 2.0):
         raise DomainError("log_waiting_density requires t > t_prev >= 2")
-    lam = params.alpha * li(t)
-    if params.beta != 0.0:
-        lam += params.beta * error_density(model, t)
+    lam = float(_hazard(model, params, t))
     if lam <= 0.0:
         raise DomainError(f"non-positive hazard at t={t:g}")
     return -cumulative_intensity(model, params, t_prev, t) + math.log(lam)

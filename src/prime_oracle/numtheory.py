@@ -1,8 +1,9 @@
 """Exact integer primality and prime-table services.
 
 Everything here is deterministic: the Miller-Rabin witness set below is
-proven to classify every integer up to 3.3e24 (comfortably past 2**64)
-without error, and the Lucas-Lehmer test is exact for Mersenne numbers.
+proven to classify every integer below psi_12 ~ 3.19e23 (comfortably past
+2**64) without error, larger inputs are refused, and the Lucas-Lehmer test
+is exact for Mersenne numbers.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ __all__ = [
 ]
 
 #: First twelve primes; a proven deterministic Miller-Rabin witness set for
-#: every n < 318,665,857,834,031,151,167,461 (> 2**64).
+#: every n < psi_12 (> 2**64; Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
 
 #: Largest exponent accepted by :func:`lucas_lehmer`; certifying 1e8-scale
 #: exponents is out of reach on desk hardware and refused loudly.
@@ -99,15 +101,18 @@ def primes_up_to(limit: int, *, segment_bytes: int = 1 << 26) -> PrimeTable:
 
 
 def is_prime_u64(n: int) -> bool:
-    """Deterministic primality for unsigned 64-bit integers.
+    """Deterministic primality for every integer below psi_12 (past 2**64).
 
     Small-prime division handles the bulk of composites; survivors go
     through Miller-Rabin with the fixed witness set, which has no false
-    answers in the u64 range.
+    answers below psi_12.  Larger inputs raise :class:`DomainError` rather
+    than get an unproven verdict.
     """
     n = int(n)
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise DomainError(f"{n} is past the proven Miller-Rabin range (n < {_MR_LIMIT})")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

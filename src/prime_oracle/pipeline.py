@@ -107,7 +107,12 @@ class CandidateRecord:
 
 @dataclass
 class HuntPlan:
-    """Everything needed to reproduce a hunt session."""
+    """Everything needed to reproduce a hunt session.
+
+    Every field means the same in both hunts: each of ``rounds`` rounds runs
+    one chain per target for ``burn_in + iterations`` steps, and only visits
+    after the ``burn_in`` steps become records.
+    """
 
     p0: int
     iterations: int = 10_000_000
@@ -224,30 +229,44 @@ def collect_candidates(
     return CollectResult(visited, chain, skipped_small, skipped_oversize)
 
 
-def _existing_keys(out_path) -> set[tuple[int, str]]:
-    if out_path is None or not Path(out_path).exists():
-        return set()
-    return {(r.value, r.kind.value) for r in load_records(out_path)}
-
-
 def hunt_general(plan: HuntPlan) -> HuntResult:
-    """Hunt primes above ``plan.p0`` with both general targets.
+    """Hunt primes above ``plan.p0`` with both general targets (see :func:`_hunt`)."""
+    return _hunt(plan, (TargetKind.GENERAL_H1, TargetKind.GENERAL_H2))
 
-    Each round runs one chain per target shape with its own seed; when
-    ``rounds > 1`` the start prime is re-seated to the largest prime found so
-    far and k is re-calibrated before the next round.
+
+def hunt_mersenne(plan: HuntPlan) -> HuntResult:
+    """Hunt candidate Mersenne exponents above ``plan.p0`` (see :func:`_hunt`)."""
+    return _hunt(plan, (TargetKind.MERSENNE_H1,))
+
+
+def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
+    """Run ``plan.rounds`` rounds of one seeded chain per target kind.
+
+    Each chain runs ``burn_in + iterations`` steps with seed ``config.seed +
+    len(kinds) * round + offset``; the primes it first visits after the
+    burn-in, less those already in ``plan.out_path`` (and, for Mersenne
+    targets, those trial factoring removes), become records.  Each later
+    round re-seats p0 on the largest prime found and re-calibrates k.
     """
-    seen = _existing_keys(plan.out_path)
+    out = plan.out_path
+    known = load_records(out) if out is not None and Path(out).exists() else []
+    seen = {(r.value, r.kind) for r in known}
     stats = HuntStats()
     records: list[CandidateRecord] = []
     p0, k = plan.p0, int(plan.k)
+    steps = plan.burn_in + plan.iterations
     for rnd in range(plan.rounds):
         round_best = 0
-        for offset, kind in enumerate((TargetKind.GENERAL_H1, TargetKind.GENERAL_H2)):
+        for offset, kind in enumerate(kinds):
+            mersenne = kind is TargetKind.MERSENNE_H1
+            rec_kind = RecordKind.MERSENNE_EXPONENT if mersenne else RecordKind.GENERAL_PRIME
+            bits = plan.trial_factor_bits if mersenne else None
             target = HuntTarget(kind, p0, k, plan.model)
-            cfg = replace(plan.config, seed=plan.config.seed + 2 * rnd + offset)
-            visited, _chain, small, oversize = collect_candidates(target, cfg, plan.iterations)
-            stats.iterations += plan.iterations
+            cfg = replace(plan.config, seed=plan.config.seed + len(kinds) * rnd + offset)
+            visited, _chain, small, oversize = collect_candidates(
+                target, cfg, steps, burn_in=plan.burn_in
+            )
+            stats.iterations += steps
             stats.skipped_small += small
             stats.skipped_oversize += oversize
             stats.distinct_candidates += len(visited)
@@ -255,78 +274,22 @@ def hunt_general(plan: HuntPlan) -> HuntResult:
             for value, it in sorted(visited.items()):
                 if not is_prime_u64(value):
                     continue
+                if bits is not None and mersenne_small_factor(value, bits) is not None:
+                    stats.factored_out += 1
+                    continue
                 prime_set.add(value)
                 round_best = max(round_best, value)
-                key = (value, RecordKind.GENERAL_PRIME.value)
-                if key in seen:
+                if (value, rec_kind) in seen:
                     continue
-                seen.add(key)
+                seen.add((value, rec_kind))
+                digits = mersenne_digit_count(value) if mersenne else None
                 records.append(
-                    CandidateRecord(
-                        value=value,
-                        kind=RecordKind.GENERAL_PRIME,
-                        p0=p0,
-                        k=k,
-                        seed=cfg.seed,
-                        iteration_found=it,
-                        target_kind=kind.value,
-                    )
+                    CandidateRecord(value, rec_kind, p0, k, cfg.seed, it, kind.value, digits)
                 )
         if rnd + 1 < plan.rounds and round_best > p0:
-            p0 = round_best
-            k = solve_k(p0)
-    if plan.out_path is not None:
-        write_records(plan.out_path, records)
-    return HuntResult(records, stats)
-
-
-def hunt_mersenne(plan: HuntPlan) -> HuntResult:
-    """Hunt candidate Mersenne exponents above ``plan.p0``.
-
-    Runs the change-of-variable target for ``burn_in + iterations`` steps and
-    keeps only primes first visited after the burn-in, so every emitted
-    exponent comes from the equilibrated part of the chain.
-    """
-    seen = _existing_keys(plan.out_path)
-    stats = HuntStats()
-    records: list[CandidateRecord] = []
-    p0, k = plan.p0, int(plan.k)
-    target = HuntTarget(TargetKind.MERSENNE_H1, p0, k, plan.model)
-    total = plan.burn_in + plan.iterations
-    visited, _chain, small, oversize = collect_candidates(
-        target, plan.config, total, burn_in=plan.burn_in
-    )
-    stats.iterations = total
-    stats.skipped_small = small
-    stats.skipped_oversize = oversize
-    stats.distinct_candidates = len(visited)
-    prime_set = stats.primes_by_target.setdefault(TargetKind.MERSENNE_H1.value, set())
-    for value, it in sorted(visited.items()):
-        if not is_prime_u64(value):
-            continue
-        if plan.trial_factor_bits is not None:
-            if mersenne_small_factor(value, plan.trial_factor_bits) is not None:
-                stats.factored_out += 1
-                continue
-        prime_set.add(value)
-        key = (value, RecordKind.MERSENNE_EXPONENT.value)
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(
-            CandidateRecord(
-                value=value,
-                kind=RecordKind.MERSENNE_EXPONENT,
-                p0=p0,
-                k=k,
-                seed=plan.config.seed,
-                iteration_found=it,
-                target_kind=TargetKind.MERSENNE_H1.value,
-                digit_count=mersenne_digit_count(value),
-            )
-        )
-    if plan.out_path is not None:
-        write_records(plan.out_path, records)
+            p0, k = round_best, solve_k(round_best)
+    if out is not None:
+        write_records(out, records)
     return HuntResult(records, stats)
 
 
@@ -425,7 +388,8 @@ def verify_file(path) -> VerifyReport:
     """Per-line primality verdicts for a file of integers, one per line.
 
     Blank lines and ``#`` comments are skipped; unparseable lines are
-    reported and processing continues.
+    reported and processing continues.  A value past the proven primality
+    range raises :class:`DomainError` naming ``path:line``.
     """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -438,5 +402,9 @@ def verify_file(path) -> VerifyReport:
             except ValueError as exc:
                 entries.append(VerifyEntry(line_no, text, None, None, str(exc)))
                 continue
-            entries.append(VerifyEntry(line_no, text, value, is_prime_u64(value)))
+            try:
+                verdict = is_prime_u64(value)
+            except DomainError as exc:
+                raise DomainError(f"{path}:{line_no}: {exc}") from None
+            entries.append(VerifyEntry(line_no, text, value, verdict))
     return VerifyReport(entries)

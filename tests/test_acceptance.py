@@ -21,9 +21,10 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 from scipy.stats import norm
 
+from gauss_legendre import box_integrals
 from prime_oracle import nonrecursive_bayes as nb
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import main
@@ -223,34 +224,33 @@ def state_k5():
 def test_criterion_08_recursive_quadrature_oracle(state_k5):
     s = state_k5
     c1, c2 = li(s.t_last), error_density(RH_SQRT, s.t_last)
+    ts = (12.0, 20.0, 60.0)
 
     def unnorm(a, b):
         return (
             a ** (s.hyper.gamma + s.k - 2.0)
             * b ** (s.hyper.xi + s.k - 2.0)
-            * math.exp(-a * s.sum_b1 - b * s.sum_b2)
+            * np.exp(-a * s.sum_b1 - b * s.sum_b2)
             * (a * c1 + b * c2)
         )
-
-    z, _ = dblquad(lambda b, a: unnorm(a, b), 0, 80, 0, 80, epsabs=1e-13, epsrel=1e-11)
-    ma, _ = dblquad(lambda b, a: a * unnorm(a, b), 0, 80, 0, 80, epsabs=1e-13, epsrel=1e-11)
-    mb, _ = dblquad(lambda b, a: b * unnorm(a, b), 0, 80, 0, 80, epsabs=1e-13, epsrel=1e-11)
 
     def waiting(a, b, t):
         lam = a * li(t) + b * error_density(RH_SQRT, t)
         delta = a * (Li(t) - Li(s.t_last)) + b * (
             error_integral(RH_SQRT, t) - error_integral(RH_SQRT, s.t_last)
         )
-        return math.exp(-delta) * lam
+        return np.exp(-delta) * lam
 
+    def integrands(a, b):
+        u = unnorm(a, b)
+        return np.stack([u, a * u, b * u] + [waiting(a, b, t) * u for t in ts])
+
+    # tensor Gauss-Legendre in (log alpha, log beta), self-checked at 2n nodes
+    z, ma, mb, *preds = box_integrals(integrands, 80.0)
     pred_ok = True
-    for t in (12.0, 20.0, 60.0):
-        target, _ = dblquad(
-            lambda b, a: waiting(a, b, t) * unnorm(a, b) / z,
-            0, 80, 0, 80, epsabs=1e-13, epsrel=1e-11,
-        )
+    for t, target in zip(ts, np.array(preds) / z):
         got = math.exp(rb.log_posterior_predictive(s, t))
-        pred_ok = pred_ok and abs(got - target) <= 1e-6 * target
+        pred_ok = pred_ok and abs(got - target) <= 1e-10 * target
 
     tail, _ = quad(
         lambda w: math.exp(rb.log_posterior_predictive(s, math.exp(w)) + w),
@@ -258,8 +258,8 @@ def test_criterion_08_recursive_quadrature_oracle(state_k5):
     )
     mean_a, mean_b = rb.posterior_mean_alpha(s), rb.posterior_mean_beta(s)
     moments_ok = (
-        abs(mean_a - ma / z) <= 1e-6 * abs(ma / z)
-        and abs(mean_b - mb / z) <= 1e-6 * abs(mb / z)
+        abs(mean_a - ma / z) <= 1e-10 * abs(ma / z)
+        and abs(mean_b - mb / z) <= 1e-10 * abs(mb / z)
     )
     tail_ok = abs(tail - 1.0) <= 1e-5
     verdict(

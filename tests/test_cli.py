@@ -148,6 +148,12 @@ class TestVerifyAndLl:
         assert "PARSE ERROR" in out
         assert "1 prime, 1 composite, 1 unparseable" in out
 
+    def test_verify_past_proven_range_names_line(self, tmp_path, capsys):
+        path = tmp_path / "ints.txt"
+        path.write_text("7\n318665857834031151167461\n")
+        assert main(["verify", str(path)]) == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+
     def test_verify_missing_file_is_io_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.txt")]) == 3
 

@@ -73,7 +73,7 @@ class TestWaitingDensity:
         )
         assert log_waiting_density(RH_SQRT, UNIT, 2.0, 10.0) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("model", [RH_SQRT, MT], ids=lambda m: m.label)
+    @pytest.mark.parametrize("model", [RH_SQRT, MT, X_OVER_LOG], ids=lambda m: m.label)
     @pytest.mark.parametrize("t_prev,t_hi", [(2.0, 1e3), (1e3, 1e5)])
     def test_integrates_to_survival_complement(self, model, t_prev, t_hi):
         def integrand(t):
@@ -84,8 +84,11 @@ class TestWaitingDensity:
         assert val == pytest.approx(expected, rel=1e-8)
 
     def test_negative_hazard_is_loud(self):
+        # X_OVER_LOG's density is negative below e: at beta = 5 it outweighs
+        # li (hazard about -1.0 at 2.1), at beta = 1 it does not (0.99 at 2.5)
         with pytest.raises(DomainError):
-            log_waiting_density(X_OVER_LOG, UNIT, 2.0, 2.5)
+            log_waiting_density(X_OVER_LOG, IntensityParams(1.0, 5.0), 2.0, 2.1)
+        assert math.isfinite(log_waiting_density(X_OVER_LOG, UNIT, 2.0, 2.5))
 
     def test_ordering(self):
         with pytest.raises(DomainError):

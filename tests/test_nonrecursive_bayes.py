@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
+from gauss_legendre import box_integrals
 from prime_oracle.errors import DomainError, ResourceError
 from prime_oracle import nonrecursive_bayes as nb
 from prime_oracle import recursive_bayes as rb
@@ -178,28 +179,28 @@ class TestPredictive:
         c2 = [error_density(RH_SQRT, t) for t in primes]
         A, B = post.sum_b1, post.sum_b2
         tk = primes[-1]
+        ts = (31.0, 45.0, 80.0)
 
         def unnorm(a, b):
             prod = 1.0
             for x, y in zip(c1, c2):
                 prod *= a * x + b * y
-            return math.exp(-a * A - b * B) * prod
-
-        z, _ = dblquad(lambda b, a: unnorm(a, b), 0, 60, 0, 60, epsabs=1e-12, epsrel=1e-10)
+            return np.exp(-a * A - b * B) * prod
 
         def waiting(a, b, t):
             lam = a * li(t) + b * error_density(RH_SQRT, t)
             delta = a * (Li(t) - Li(tk)) + b * (
                 error_integral(RH_SQRT, t) - error_integral(RH_SQRT, tk)
             )
-            return math.exp(-delta) * lam
+            return np.exp(-delta) * lam
 
-        for t in (31.0, 45.0, 80.0):
-            target, _ = dblquad(
-                lambda b, a: waiting(a, b, t) * unnorm(a, b) / z,
-                0, 60, 0, 60, epsabs=1e-13, epsrel=1e-10,
-            )
-            assert math.exp(nb.log_predictive(post, t)) == pytest.approx(target, rel=1e-6)
+        def integrands(a, b):
+            u = unnorm(a, b)
+            return np.stack([u] + [waiting(a, b, t) * u for t in ts])
+
+        z, *preds = box_integrals(integrands, 60.0)
+        for t, target in zip(ts, np.array(preds) / z):
+            assert math.exp(nb.log_predictive(post, t)) == pytest.approx(target, rel=1e-10)
 
     def test_k1_equals_recursive(self):
         state = rb.init(PROPER, RH_SQRT, 2)

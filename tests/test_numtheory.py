@@ -108,6 +108,14 @@ class TestIsPrimeU64:
         assert 3215031751 == 151 * 751 * 28351
         assert 3825123056546413051 == 149491 * 747451 * 34233211
 
+    def test_refuses_past_proven_range(self):
+        # the twelve-prime witness set is proven only below psi_12
+        # (Sorenson & Webster 2017)
+        psi_12 = 318_665_857_834_031_151_167_461
+        with pytest.raises(DomainError):
+            is_prime_u64(psi_12)
+        assert isinstance(is_prime_u64(psi_12 - 2), bool)
+
 
 class TestLucasLehmer:
     def test_small_prime_exponents(self):

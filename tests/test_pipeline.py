@@ -106,6 +106,15 @@ class TestHuntGeneralRounds:
         assert len(p0s) >= 2  # second round re-seated on a found prime
         assert max(p0s) > P0
 
+    def test_burn_in_applies(self):
+        plan = HuntPlan(
+            p0=P0, iterations=30_000, burn_in=20_000, config=TmcmcConfig(seed=42)
+        )
+        result = hunt_general(plan)
+        assert result.records
+        assert all(rec.iteration_found > 20_000 for rec in result.records)
+        assert result.stats.iterations == 2 * (20_000 + 30_000)
+
 
 class TestHuntMersenne:
     # the chain equilibrates a couple of integers above p0, so a start whose
@@ -137,6 +146,20 @@ class TestHuntMersenne:
         assert len(screened.records) + screened.stats.factored_out == len(mersenne_hunt.records)
         for rec in screened.records:
             assert mersenne_small_factor(rec.value, 30) is None
+
+    def test_rounds_reseat_p0(self, mersenne_hunt):
+        plan = HuntPlan(
+            p0=TWIN_P0,
+            iterations=100_000,
+            burn_in=100_000,
+            rounds=2,
+            config=TmcmcConfig(seed=3),
+        )
+        result = hunt_mersenne(plan)
+        assert result.stats.iterations == 2 * (100_000 + 100_000)
+        # round 1 is the fixture's hunt; round 2 starts from its largest prime
+        round1_best = max(mersenne_hunt.stats.primes_by_target["mersenne-h1"])
+        assert {rec.p0 for rec in result.records} <= {TWIN_P0, round1_best}
 
 
 class TestMersenneSmallFactor:

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from gauss_legendre import box_integrals
 from prime_oracle.cli import main
 from prime_oracle.errors import DomainError
 from prime_oracle import recursive_bayes as rb
@@ -58,7 +60,7 @@ def joint_unnormalized(state, alpha, beta):
     return (
         alpha ** (g + k - 2.0)
         * beta ** (x + k - 2.0)
-        * math.exp(-alpha * state.sum_b1 - beta * state.sum_b2)
+        * np.exp(-alpha * state.sum_b1 - beta * state.sum_b2)
         * (alpha * c1 + beta * c2)
     )
 
@@ -170,26 +172,16 @@ class TestMoments:
         for p in primes:
             state = rb.init(FLAT, RH_SQRT, p) if state is None else rb.update(state, p)
 
-        def moment(weight):
-            def inner(b):
-                v, _ = quad(
-                    lambda a: weight(a, b) * joint_unnormalized(state, a, b),
-                    0, 80, epsabs=1e-14, epsrel=1e-12, limit=200,
-                )
-                return v
+        def integrands(a, b):
+            u = joint_unnormalized(state, a, b)
+            return np.stack([u, a * u, b * u, a * a * u, b * b * u])
 
-            v, _ = quad(inner, 0, 80, epsabs=1e-14, epsrel=1e-12, limit=200)
-            return v
-
-        z = moment(lambda a, b: 1.0)
-        ma = moment(lambda a, b: a) / z
-        mb = moment(lambda a, b: b) / z
-        maa = moment(lambda a, b: a * a) / z
-        mbb = moment(lambda a, b: b * b) / z
-        assert rb.posterior_mean_alpha(state) == pytest.approx(ma, rel=1e-6)
-        assert rb.posterior_mean_beta(state) == pytest.approx(mb, rel=1e-6)
-        assert rb.posterior_var_alpha(state) == pytest.approx(maa - ma**2, rel=1e-6)
-        assert rb.posterior_var_beta(state) == pytest.approx(mbb - mb**2, rel=1e-6)
+        z, *moments = box_integrals(integrands, 80.0)
+        ma, mb, maa, mbb = np.array(moments) / z
+        assert rb.posterior_mean_alpha(state) == pytest.approx(ma, rel=1e-10)
+        assert rb.posterior_mean_beta(state) == pytest.approx(mb, rel=1e-10)
+        assert rb.posterior_var_alpha(state) == pytest.approx(maa - ma**2, rel=1e-10)
+        assert rb.posterior_var_beta(state) == pytest.approx(mbb - mb**2, rel=1e-10)
 
     def test_million_scale_alpha(self, primes_2e6):
         primes = primes_2e6.primes[primes_2e6.primes <= 10**6]
@@ -290,23 +282,24 @@ class TestPredictive:
         assert got == pytest.approx(float(expected), rel=0, abs=1e-11)
 
     def test_matches_posterior_integral(self, state_k5):
-        mix = rb.posterior(state_k5)
         tk = state_k5.t_last
+        ts = (12.0, 20.0, 60.0)
 
         def waiting(a, b, t):
             lam = a * li(t) + b * error_density(RH_SQRT, t)
             delta = a * (Li(t) - Li(tk)) + b * (
                 error_integral(RH_SQRT, t) - error_integral(RH_SQRT, tk)
             )
-            return math.exp(-delta) * lam
+            return np.exp(-delta) * lam
 
-        for t in (12.0, 20.0, 60.0):
-            target, _ = dblquad(
-                lambda b, a: waiting(a, b, t) * mix.pdf(a, b),
-                0, 80, 0, 80, epsabs=1e-13, epsrel=1e-11,
-            )
+        def integrands(a, b):
+            u = joint_unnormalized(state_k5, a, b)
+            return np.stack([u] + [waiting(a, b, t) * u for t in ts])
+
+        z, *preds = box_integrals(integrands, 80.0)
+        for t, target in zip(ts, np.array(preds) / z):
             got = math.exp(rb.log_posterior_predictive(state_k5, t))
-            assert got == pytest.approx(target, rel=1e-6)
+            assert got == pytest.approx(target, rel=1e-10)
 
     @pytest.mark.parametrize("k_stages", [1, 5, 50])
     def test_tail_integrates_to_one(self, k_stages, primes_small):
