@@ -118,8 +118,13 @@ def simulate(
 
     Unit-rate exponential arrival sums are mapped through the inverse of the
     cumulative intensity.  The inverse is found per event by bracketed
-    root-finding: a monotone grid supplies the bracket, bisection guards the
-    iteration, and Newton steps polish to 1e-9 relative in t.
+    Newton iteration: a monotone grid supplies the bracket and the starting
+    point, and each round evaluates the cumulative intensity and the hazard
+    only on the events still active.  An event converges when its Newton
+    step is at most 1e-9 relative in t; that last step is taken (even onto a
+    bracket end) and the event leaves the active set.  An active event whose
+    step leaves its bracket is bisected instead.  Events still active after
+    60 rounds raise :class:`DomainError` rather than return unconverged.
     """
     if not (horizon > 2.0):
         raise DomainError("simulate requires horizon > 2")
@@ -147,18 +152,26 @@ def simulate(
     t = np.exp(np.interp(targets, grid_lam, grid_log_t))
     t = np.clip(t, lo, hi)
 
+    active = np.arange(len(t))
     for _ in range(60):
-        resid = np.asarray(cumulative_intensity(model, params, 2.0, t)) - targets
-        hi = np.where(resid >= 0.0, t, hi)
-        lo = np.where(resid < 0.0, t, lo)
-        step = resid / _hazard(model, params, t)
-        t_new = t - step
-        outside = (t_new <= lo) | (t_new >= hi)
-        t_new[outside] = 0.5 * (lo[outside] + hi[outside])
-        done = np.abs(t_new - t) <= 1e-9 * np.maximum(1.0, t_new)
-        t = t_new
-        if bool(done.all()):
+        ta = t[active]
+        resid = np.asarray(cumulative_intensity(model, params, 2.0, ta)) - targets[active]
+        lo_a = np.where(resid < 0.0, ta, lo[active])
+        hi_a = np.where(resid >= 0.0, ta, hi[active])
+        step = resid / _hazard(model, params, ta)
+        t_new = ta - step
+        done = np.abs(step) <= 1e-9 * np.maximum(1.0, ta)
+        outside = ~done & ((t_new <= lo_a) | (t_new >= hi_a))
+        t_new[outside] = 0.5 * (lo_a[outside] + hi_a[outside])
+        t[active], lo[active], hi[active] = t_new, lo_a, hi_a
+        active = active[~done]
+        if active.size == 0:
             break
+    else:
+        raise DomainError(
+            f"Newton inversion left {active.size} of {len(t)} events unconverged "
+            "after 60 rounds"
+        )
     return EventStream(np.sort(t), model, params, int(seed), float(horizon))
 
 

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import chisquare, poisson
+from scipy.stats import binomtest, chisquare, ks_2samp, poisson
 
+from prime_oracle import nhpp
 from prime_oracle.errors import DomainError
 from prime_oracle.nhpp import (
+    _draw_targets,
+    _hazard,
     cumulative_intensity,
     gap_window_check,
     log_waiting_density,
@@ -23,6 +26,7 @@ from prime_oracle.specialfn import (
     error_density,
     error_integral,
     li,
+    rh_eps,
 )
 
 UNIT = IntensityParams(1.0, 1.0)
@@ -118,13 +122,42 @@ class TestSimulate:
         assert len(c.times) != len(a.times) or not np.array_equal(a.times, c.times)
 
     def test_inverse_accuracy(self):
-        # Lambda(event k) must land exactly on the k-th exponential arrival
-        # sum; spot-check the time-change identity via spacing statistics.
-        stream = simulate(RH_SQRT, UNIT, 1e5, seed=3)
-        lam = np.asarray(cumulative_intensity(RH_SQRT, UNIT, 2.0, stream.times))
-        gaps = np.diff(np.concatenate([[0.0], lam]))
-        assert gaps.min() > 0
-        assert gaps.mean() == pytest.approx(1.0, abs=0.05)
+        # Lambda(t_k) must land on the k-th exponential arrival sum: the
+        # residual, scaled to t by the hazard, is at the rounding of Lambda
+        horizon, seed = 1e6, 3
+        for model in (RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT):
+            total = cumulative_intensity(model, NEAR_PNT, 2.0, horizon)
+            targets = _draw_targets(np.random.default_rng(seed), total)
+            t = simulate(model, NEAR_PNT, horizon, seed=seed).times
+            assert len(t) == len(targets), model.label
+            resid = cumulative_intensity(model, NEAR_PNT, 2.0, t) - targets
+            rel = np.abs(resid) / (_hazard(model, NEAR_PNT, t) * t)
+            assert rel.max() <= 1e-12, (model.label, rel.max())
+
+    def test_work_per_event(self, monkeypatch):
+        # converged events leave the Newton loop: about two evaluations of
+        # the cumulative intensity per event besides the bracket grid
+        asked = []
+        real = nhpp.cumulative_intensity
+
+        def counting(model, params, x1, x2):
+            asked.append(np.size(x2))
+            return real(model, params, x1, x2)
+
+        monkeypatch.setattr(nhpp, "cumulative_intensity", counting)
+        stream = simulate(RH_SQRT, NEAR_PNT, 1e5, seed=6)
+        assert 2049 in asked
+        assert sum(asked) - 2049 <= 3 * len(stream.times)
+
+    def test_unconverged_events_are_loud(self, monkeypatch):
+        # a slope 100 times too steep makes every Newton step 1% of the way
+        # to the root, so the round cap is reached with events still moving
+        real = nhpp._hazard
+        monkeypatch.setattr(
+            nhpp, "_hazard", lambda model, params, t: 100.0 * real(model, params, t)
+        )
+        with pytest.raises(DomainError, match="unconverged"):
+            simulate(RH_SQRT, NEAR_PNT, 1e4, seed=3)
 
     def test_mean_count_matches_intensity(self):
         total = cumulative_intensity(RH_SQRT, UNIT, 2.0, 1e5)
@@ -169,6 +202,44 @@ class TestSimulate:
         probs = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
         _, p_value = chisquare(observed, probs * n_rep)
         assert p_value > 0.01
+
+
+class TestThinningOracle:
+    """Lewis & Shedler (1979) thinning draws the same process without
+    inverting Lambda: homogeneous candidates at the maximum hazard on
+    [2, horizon], each kept with probability lambda(t) / lambda_max.  The
+    densities are written out here, apart from ``specialfn``."""
+
+    HORIZON = 1e4
+    REPS = 200
+    LEVEL = 0.01  # significance of every comparison, fixed in advance
+    DENSITY = {
+        "rh-sqrt": lambda t: (np.log(t) + 2.0) / (2.0 * np.sqrt(t)),
+        "x-over-log": lambda t: (np.log(t) - 1.0) / np.log(t) ** 2,
+    }
+
+    def hazard(self, model, t):
+        return UNIT.alpha / np.log(t) + UNIT.beta * self.DENSITY[model.label](t)
+
+    @pytest.mark.parametrize("model", [RH_SQRT, X_OVER_LOG], ids=lambda m: m.label)
+    def test_time_change_matches_thinning(self, model):
+        # X_OVER_LOG's density is negative below e, where the hazard dips;
+        # 1% above the maximum on a fine grid bounds the hazard between nodes
+        grid = np.geomspace(2.0, self.HORIZON, 100_001)
+        lam_max = 1.01 * float(self.hazard(model, grid).max())
+        rng = np.random.default_rng(1979)
+        by_thinning = []
+        for _ in range(self.REPS):
+            n = rng.poisson(lam_max * (self.HORIZON - 2.0))
+            t = rng.uniform(2.0, self.HORIZON, n)
+            by_thinning.append(t[rng.uniform(0.0, lam_max, n) < self.hazard(model, t)])
+        by_thinning = np.concatenate(by_thinning)
+        by_inversion = np.concatenate(
+            [simulate(model, UNIT, self.HORIZON, seed=7000 + r).times for r in range(self.REPS)]
+        )
+        n_inv, n_thin = len(by_inversion), len(by_thinning)
+        assert binomtest(n_inv, n_inv + n_thin, 0.5).pvalue > self.LEVEL, (n_inv, n_thin)
+        assert ks_2samp(by_inversion, by_thinning).pvalue > self.LEVEL
 
 
 class TestRatioChecks:

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from gauss_legendre import box_integrals
@@ -131,26 +130,17 @@ class TestMoments:
             prod = 1.0
             for x, y in zip(c1, c2):
                 prod *= a * x + b * y
-            return math.exp(-a * A - b * B) * prod
+            return np.exp(-a * A - b * B) * prod
 
-        def integral(weight):
-            def inner(b):
-                v, _ = quad(
-                    lambda a: weight(a, b) * unnorm(a, b),
-                    0, 70, epsabs=1e-14, epsrel=1e-13, limit=200,
-                )
-                return v
+        def integrands(a, b):
+            u = unnorm(a, b)
+            return np.stack([u, a * u, b * u, a * a * u])
 
-            v, _ = quad(inner, 0, 70, epsabs=1e-14, epsrel=1e-13, limit=200)
-            return v
-
-        z = integral(lambda a, b: 1.0)
-        ma = integral(lambda a, b: a) / z
-        mb = integral(lambda a, b: b) / z
-        maa = integral(lambda a, b: a * a) / z
-        assert nb.mean_alpha(post_k10) == pytest.approx(ma, rel=1e-6)
-        assert nb.mean_beta(post_k10) == pytest.approx(mb, rel=1e-6)
-        assert nb.var_alpha(post_k10) == pytest.approx(maa - ma**2, rel=1e-6)
+        z, *moments = box_integrals(integrands, 70.0)
+        ma, mb, maa = np.array(moments) / z
+        assert nb.mean_alpha(post_k10) == pytest.approx(ma, rel=1e-10)
+        assert nb.mean_beta(post_k10) == pytest.approx(mb, rel=1e-10)
+        assert nb.var_alpha(post_k10) == pytest.approx(maa - ma**2, rel=1e-10)
 
     def test_both_parameterizations_agree(self, post_k10):
         r = np.arange(post_k10.k + 1, dtype=float)
