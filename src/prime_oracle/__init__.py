@@ -43,7 +43,7 @@ from .recursive_bayes import (
     posterior_var_beta,
     trajectory,
 )
-from .nonrecursive_bayes import NonRecPosterior, equivalence_report
+from .nonrecursive_bayes import equivalence_report
 from .tmcmc import HuntTarget, TargetKind, TmcmcChain, TmcmcConfig, log_target, run
 from .pipeline import (
     CandidateRecord,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nhpp, nonrecursive_bayes, pipeline, recursive_bayes
 from .errors import DomainError, ResourceError
-from .numtheory import lucas_lehmer, mersenne_digit_count, primes_up_to
+from .numtheory import is_prime_u64, lucas_lehmer, mersenne_digit_count, primes_up_to
 from .pipeline import FILE_HEADER, HuntPlan, RecordKind
 from .recursive_bayes import Hyperparameters
 from .specialfn import MT, X_OVER_LOG, ErrorBoundModel, IntensityParams
@@ -176,9 +176,10 @@ def _cmd_compare_models(args) -> int:
     limit = int(args.limit)
     if limit < 5:
         raise DomainError("--limit must be at least 5")
-    table = primes_up_to(max(2 * limit, 100))
-    primes = [int(p) for p in table.primes if p >= 3 and p <= limit]
-    next_prime = int(table.primes[table.primes > primes[-1]][0])
+    primes = primes_up_to(limit).primes[1:].tolist()  # from 3: both densities positive
+    next_prime = primes[-1] + 2
+    while not is_prime_u64(next_prime):
+        next_prime += 2
     hyper = Hyperparameters()
     n = len(primes)
     rows = []

@@ -6,12 +6,12 @@ the product one stage at a time instead yields the k+1 coefficients of the
 polynomial in (alpha, beta) with O(k^2) work; the result is a (k+1)-component
 mixture of gamma products, mathematically identical to the 2**k sum.
 
-The weights, moments and predictive of that mixture are computed by the
-same code as the recursive engine's, whose stage-k posterior is the
-one-prime case of this mixture under the prior advanced k-1 stages; at k=1
-the two engines therefore run one code path on identical inputs.  The
-module exists to cross-validate the recursive engine; ``K_CAP`` bounds the
-O(k^2) time of the convolution.
+Both engines return the same :class:`.recursive_bayes.GammaProductMixture`,
+and the recursive engine's stage-k posterior is the one-prime case of this
+mixture under the prior advanced k-1 stages; at k=1 the two engines
+therefore run one code path on identical inputs.  The module exists to
+cross-validate the recursive engine; ``K_CAP`` bounds the O(k^2) time of
+the convolution.
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ from .specialfn import ErrorBoundModel, RH_SQRT, error_density, li
 
 __all__ = [
     "K_CAP",
-    "NonRecPosterior",
     "EquivalenceRow",
     "build",
-    "mean_alpha",
-    "var_alpha",
-    "mean_beta",
-    "var_beta",
-    "log_predictive",
     "equivalence_report",
 ]
 
@@ -46,27 +40,6 @@ __all__ = [
 #: on a 2-core Xeon.  Against a 40-digit ``mpmath`` evaluation of the same
 #: mixture the means are within 2.2e-13 relative at k=1024.
 K_CAP = 4096
-
-
-@dataclass(frozen=True)
-class NonRecPosterior:
-    """The exact posterior: a (k+1)-component gamma-product mixture.
-
-    ``log_e[r]`` is the log of the elementary coefficient of
-    ``alpha**r * beta**(k-r)`` in the expanded likelihood product, and
-    ``log_p[r]`` the normalized log weight of component r,
-    ``Gamma(gamma + r, sum_b1) x Gamma(xi + k - r, sum_b2)``.
-    """
-
-    k: int
-    hyper: Hyperparameters
-    model: ErrorBoundModel
-    sum_b1: float
-    sum_b2: float
-    t_last: float
-    log_e: np.ndarray
-    log_p: np.ndarray
-    mixture: rb._Mixture
 
 
 def _log_coefficient_stages(
@@ -93,10 +66,8 @@ def _log_coefficient_stages(
         yield log_e
 
 
-def _validated(
-    primes: Sequence[float], hyper: Hyperparameters
-) -> tuple[list[float], Hyperparameters]:
-    """Check the primes and hyperparameters ``build`` accepts; return them as floats."""
+def _validated(primes: Sequence[float]) -> list[float]:
+    """The primes as floats, checked (``state_at`` and ``mixture`` check the prior)."""
     primes = [float(t) for t in primes]
     k = len(primes)
     if k < 1:
@@ -105,58 +76,30 @@ def _validated(
         raise ResourceError(f"k={k} exceeds the non-recursive bound K_CAP={K_CAP}")
     if any(t2 <= t1 for t1, t2 in zip(primes, primes[1:])) or primes[0] < 2.0:
         raise DomainError("primes must be ascending and >= 2")
-    hyper = Hyperparameters(*hyper)
-    if any(h < 0 for h in hyper):
-        raise DomainError(f"hyperparameters must be >= 0, got {hyper}")
-    if hyper.gamma <= 0.0 or hyper.xi <= 0.0:
-        raise DomainError("gamma and xi must be positive for a proper posterior")
-    return primes, hyper
+    return primes
 
 
 def _posterior(
     log_e: np.ndarray, t_k: float, hyper: Hyperparameters, model: ErrorBoundModel
-) -> NonRecPosterior:
-    """The mixture over the coefficients ``log_e`` of the first k primes, ending at ``t_k``.
-
-    Its rates are those of the recursive stage-k state, and its weights come
-    from the mixture code the recursive engine uses.
-    """
+) -> rb.GammaProductMixture:
+    """The mixture over the coefficients ``log_e``, at the recursive stage-k rates."""
     state = rb.state_at(hyper, model, log_e.size - 1, t_k)
-    mix = rb._mixture(state, log_e, hyper.gamma, hyper.xi)
-    return NonRecPosterior(
-        state.k, hyper, model, state.sum_b1, state.sum_b2, t_k, log_e, mix.log_w, mix
-    )
+    return rb.mixture(state, log_e, state.hyper.gamma, state.hyper.xi)
 
 
 def build(
     primes: Sequence[float], hyper: Hyperparameters, model: ErrorBoundModel = RH_SQRT
-) -> NonRecPosterior:
-    """Exact posterior given ascending primes ``t_1..t_k`` (k <= K_CAP)."""
-    primes, hyper = _validated(primes, hyper)
+) -> rb.GammaProductMixture:
+    """Exact posterior given ascending primes ``t_1..t_k`` (k <= K_CAP).
+
+    Component r is ``Gamma(gamma + r, sum_b1) x Gamma(xi + k - r, sum_b2)``,
+    and ``log_c[r]`` is the log of the elementary coefficient of
+    ``alpha**r * beta**(k-r)`` in the expanded likelihood product.
+    """
+    primes = _validated(primes)
     for log_e in _log_coefficient_stages(primes, model):
         pass
     return _posterior(log_e, primes[-1], hyper, model)
-
-
-def mean_alpha(post: NonRecPosterior) -> float:
-    return rb._moments(post.mixture)[0]
-
-
-def var_alpha(post: NonRecPosterior) -> float:
-    return rb._moments(post.mixture)[1]
-
-
-def mean_beta(post: NonRecPosterior) -> float:
-    return rb._moments(post.mixture)[2]
-
-
-def var_beta(post: NonRecPosterior) -> float:
-    return rb._moments(post.mixture)[3]
-
-
-def log_predictive(post: NonRecPosterior, t_next: float) -> float:
-    """Log posterior predictive density at ``t_next > t_k``."""
-    return rb._log_predictive(post.mixture, t_next)
 
 
 @dataclass(frozen=True)
@@ -198,14 +141,14 @@ def equivalence_report(
         raise DomainError("not enough primes for the requested checkpoints")
     if not cps or cps[-1] < 1:
         return []
-    primes, hyper = _validated(primes[: cps[-1]], hyper)
+    primes = _validated(primes[: cps[-1]])
     wanted = set(cps)
     rows = []
     for k, log_e in enumerate(_log_coefficient_stages(primes, model), start=1):
         if k not in wanted:
             continue
         post = _posterior(log_e, primes[k - 1], hyper, model)
-        rec = rb._moments(rb._stage_mixture(post.mixture.state))
-        exact = rb._moments(post.mixture)
-        rows.append(EquivalenceRow(k, post.t_last, rec[0], exact[0], rec[2], exact[2]))
+        rec, exact = rb.posterior(post.state).moments(), post.moments()
+        rows.append(EquivalenceRow(k, primes[k - 1], rec.mean_alpha, exact.mean_alpha,
+                                   rec.mean_beta, exact.mean_beta))
     return rows

@@ -111,7 +111,8 @@ class HuntPlan:
 
     Every field means the same in both hunts: each of ``rounds`` rounds runs
     one chain per target for ``burn_in + iterations`` steps, and only visits
-    after the ``burn_in`` steps become records.
+    after the ``burn_in`` steps become records.  The stage count ``k`` is
+    always ``solve_k(p0)``.
     """
 
     p0: int
@@ -121,7 +122,7 @@ class HuntPlan:
     config: TmcmcConfig = field(default_factory=TmcmcConfig)
     model: ErrorBoundModel = MT
     out_path: str | Path | None = None
-    k: int | None = None
+    k: int = field(init=False)
     trial_factor_bits: int | None = None
 
     def __post_init__(self) -> None:
@@ -129,10 +130,7 @@ class HuntPlan:
             raise DomainError("iterations must be >= 1")
         if self.burn_in < 0 or self.rounds < 1:
             raise DomainError("burn_in must be >= 0 and rounds >= 1")
-        if self.k is None:
-            self.k = solve_k(self.p0)
-        if abs(self.k * math.log(self.k) - self.p0) > 0.05 * self.p0:
-            raise DomainError(f"k={self.k} is not calibrated to p0={self.p0}")
+        self.k = solve_k(self.p0)
 
 
 @dataclass
@@ -253,7 +251,7 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
     seen = {(r.value, r.kind) for r in known}
     stats = HuntStats()
     records: list[CandidateRecord] = []
-    p0, k = plan.p0, int(plan.k)
+    p0, k = plan.p0, plan.k
     steps = plan.burn_in + plan.iterations
     for rnd in range(plan.rounds):
         round_best = 0

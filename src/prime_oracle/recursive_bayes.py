@@ -11,8 +11,10 @@ evaluates any stage in closed form from ``k`` and ``t_k`` alone; ``init`` and
 per checkpoint rather than one update per prime.
 
 The stage-k posterior is the exact one-prime posterior under the prior
-advanced k-1 stages, so one gamma-mixture core (weights, moments and
-predictive) serves this module and :mod:`.nonrecursive_bayes` alike.
+advanced k-1 stages, so both engines return one posterior type:
+:class:`GammaProductMixture`, built by :func:`mixture`, with its weights,
+moments, predictive and density.  :func:`posterior` gives the stage-k one
+and :func:`.nonrecursive_bayes.build` the exact one.
 
 The posterior trajectory across checkpoints is the package's diagnostic
 instrument: the alpha mean approaches 1 under every error model (the
@@ -44,12 +46,13 @@ from .specialfn import (
 __all__ = [
     "Hyperparameters",
     "RecursionState",
-    "MixtureComponent",
+    "Moments",
     "GammaProductMixture",
     "TrajectoryRow",
     "state_at",
     "init",
     "update",
+    "mixture",
     "posterior",
     "posterior_mean_alpha",
     "posterior_var_alpha",
@@ -85,29 +88,6 @@ class RecursionState:
     sum_b2: float
     t_last: float
     model: ErrorBoundModel
-
-
-class MixtureComponent(NamedTuple):
-    weight: float
-    rate_a: float
-    shape_a: float
-    rate_b: float
-    shape_b: float
-
-
-@dataclass(frozen=True)
-class GammaProductMixture:
-    """Mixture of products of independent gamma densities over (alpha, beta)."""
-
-    components: list[MixtureComponent]
-
-    def pdf(self, alpha: float, beta: float) -> float:
-        total = 0.0
-        for w, ra, sa, rb, sb in self.components:
-            la = sa * math.log(ra) - math.lgamma(sa) + (sa - 1.0) * math.log(alpha) - ra * alpha
-            lb = sb * math.log(rb) - math.lgamma(sb) + (sb - 1.0) * math.log(beta) - rb * beta
-            total += w * math.exp(la + lb)
-        return total
 
 
 class TrajectoryRow(NamedTuple):
@@ -166,22 +146,89 @@ def update(state: RecursionState, t_next: float) -> RecursionState:
     return state_at(state.hyper, state.model, state.k + 1, t_next)
 
 
-class _Mixture(NamedTuple):
+class Moments(NamedTuple):
+    mean_alpha: float
+    var_alpha: float
+    mean_beta: float
+    var_beta: float
+
+
+class GammaProductMixture(NamedTuple):
     """Components ``Gamma(a0 + r, A) x Gamma(b0 + m - r, B)``, r = 0..m.
 
-    ``state`` supplies the rates ``A = sum_b1`` and ``B = sum_b2`` together
-    with the model, prior and last prime that the predictive extends from;
-    ``w`` are the normalized weights and ``log_w`` their logs.
+    The one posterior type of both engines.  ``state`` supplies the rates
+    ``A = sum_b1`` and ``B = sum_b2`` together with the model, prior and last
+    prime that the predictive extends from; ``log_c`` are the log
+    coefficients the mixture was built from, ``w`` the normalized weights
+    and ``log_w`` their logs.
     """
 
     state: RecursionState
+    log_c: np.ndarray
     w: np.ndarray
     log_w: np.ndarray
     shape_a: np.ndarray
     shape_b: np.ndarray
 
+    def moments(self) -> Moments:
+        """The posterior means and variances of alpha and beta.
 
-def _mixture(state: RecursionState, log_c, a0: float, b0: float) -> _Mixture:
+        Each variance is ``(E_w[s] + Var_w[s]) / rate**2`` over the component
+        shapes s, which avoids the cancellation of ``E[x**2] - E[x]**2`` at
+        large shapes.  Every summand is non-negative, so plain sums lose
+        nothing to cancellation.
+        """
+        out: list[float] = []
+        for shape, rate in ((self.shape_a, self.state.sum_b1), (self.shape_b, self.state.sum_b2)):
+            mean_shape = float(self.w @ shape)
+            spread = float(self.w @ (shape - mean_shape) ** 2)
+            out += [mean_shape / rate, (mean_shape + spread) / rate**2]
+        return Moments(*out)
+
+    def log_predictive(self, t: float) -> float:
+        """Log density of the next prime's position at ``t > t_last``.
+
+        With ``A' = a + Li(t)`` and ``B' = b + F(t)`` this is ``log sum_r w_r
+        (A/A')**sa_r (B/B')**sb_r (li(t) sa_r / A' + f(t) sb_r / B')``: each
+        component's expected hazard at ``t`` times its survival over
+        ``(t_last, t]``, summed in log space.
+        """
+        state = self.state
+        t = float(t)
+        if t <= state.t_last:
+            raise DomainError("predictive point must exceed the last prime")
+        c2 = error_density(state.model, t)
+        if c2 <= 0.0:
+            raise DomainError("error density not positive at the predictive point")
+        ap = state.hyper.a + Li(t)
+        bp = state.hyper.b + error_integral(state.model, t)
+        # log(A/A') = -log1p((A' - A)/A): no rounding of log(A) near k log k
+        log_ra = -math.log1p((ap - state.sum_b1) / state.sum_b1)
+        log_rb = -math.log1p((bp - state.sum_b2) / state.sum_b2)
+        z = (
+            self.log_w
+            + self.shape_a * log_ra
+            + self.shape_b * log_rb
+            + np.log(li(t) * self.shape_a / ap + c2 * self.shape_b / bp)
+        )
+        top = z.max()
+        return float(top + math.log(np.exp(z - top).sum()))
+
+    def pdf(self, alpha, beta):
+        """Density at ``(alpha, beta) > 0``; the two arguments broadcast."""
+        ra, rb = self.state.sum_b1, self.state.sum_b2
+        a = np.asarray(alpha, dtype=float)[..., None]
+        b = np.asarray(beta, dtype=float)[..., None]
+        sa, sb = self.shape_a, self.shape_b
+        log_terms = (
+            self.log_w
+            + sa * math.log(ra) - gammaln(sa) + (sa - 1.0) * np.log(a) - ra * a
+            + sb * math.log(rb) - gammaln(sb) + (sb - 1.0) * np.log(b) - rb * b
+        )
+        return np.exp(log_terms).sum(axis=-1)
+
+
+def mixture(state: RecursionState, log_c, a0: float, b0: float) -> GammaProductMixture:
     """The posterior whose component r carries coefficient ``exp(log_c[r])``.
 
     Component r's weight is ``c_r Gamma(a0+r) / A**(a0+r) * Gamma(b0+m-r) /
@@ -210,10 +257,10 @@ def _mixture(state: RecursionState, log_c, a0: float, b0: float) -> _Mixture:
     lw = lw - lw.max()
     w = np.exp(lw)
     total = w.sum()
-    return _Mixture(state, w / total, lw - math.log(total), shape_a, shape_b)
+    return GammaProductMixture(state, log_c, w / total, lw - math.log(total), shape_a, shape_b)
 
 
-def _stage_mixture(state: RecursionState) -> _Mixture:
+def posterior(state: RecursionState) -> GammaProductMixture:
     """The stage-k posterior as a two-component mixture.
 
     It is the exact one-prime posterior under the prior advanced k-1 stages:
@@ -228,85 +275,28 @@ def _stage_mixture(state: RecursionState) -> _Mixture:
         )
     advanced = state.k - 1
     log_c = (math.log(c2), math.log(li(state.t_last)))
-    return _mixture(state, log_c, state.hyper.gamma + advanced, state.hyper.xi + advanced)
-
-
-def _moments(mix: _Mixture) -> tuple[float, float, float, float]:
-    """``(mean_alpha, var_alpha, mean_beta, var_beta)`` of a mixture.
-
-    Each variance is ``(E_w[s] + Var_w[s]) / rate**2`` over the component
-    shapes s, which avoids the cancellation of ``E[x**2] - E[x]**2`` at
-    large shapes.  Every summand is non-negative, so plain sums lose
-    nothing to cancellation.
-    """
-    out: list[float] = []
-    for shape, rate in ((mix.shape_a, mix.state.sum_b1), (mix.shape_b, mix.state.sum_b2)):
-        mean_shape = float(mix.w @ shape)
-        spread = float(mix.w @ (shape - mean_shape) ** 2)
-        out += [mean_shape / rate, (mean_shape + spread) / rate**2]
-    return tuple(out)
-
-
-def _log_predictive(mix: _Mixture, t: float) -> float:
-    """Log density of the next prime's position at ``t > t_last``.
-
-    With ``A' = a + Li(t)`` and ``B' = b + F(t)`` this is ``log sum_r w_r
-    (A/A')**sa_r (B/B')**sb_r (li(t) sa_r / A' + f(t) sb_r / B')``: each
-    component's expected hazard at ``t`` times its survival over
-    ``(t_last, t]``, summed in log space.
-    """
-    state = mix.state
-    t = float(t)
-    if t <= state.t_last:
-        raise DomainError("predictive point must exceed the last prime")
-    c2 = error_density(state.model, t)
-    if c2 <= 0.0:
-        raise DomainError("error density not positive at the predictive point")
-    ap = state.hyper.a + Li(t)
-    bp = state.hyper.b + error_integral(state.model, t)
-    # log(A/A') = -log1p((A' - A)/A): no rounding of log(A) near k log k
-    log_ra = -math.log1p((ap - state.sum_b1) / state.sum_b1)
-    log_rb = -math.log1p((bp - state.sum_b2) / state.sum_b2)
-    z = (
-        mix.log_w
-        + mix.shape_a * log_ra
-        + mix.shape_b * log_rb
-        + np.log(li(t) * mix.shape_a / ap + c2 * mix.shape_b / bp)
-    )
-    top = z.max()
-    return float(top + math.log(np.exp(z - top).sum()))
-
-
-def posterior(state: RecursionState) -> GammaProductMixture:
-    """Closed-form stage-k posterior as a two-component gamma-product mixture."""
-    mix = _stage_mixture(state)
-    return GammaProductMixture(
-        components=[
-            MixtureComponent(w, state.sum_b1, sa, state.sum_b2, sb)
-            for w, sa, sb in zip(mix.w.tolist(), mix.shape_a.tolist(), mix.shape_b.tolist())
-        ]
-    )
+    return mixture(state, log_c, state.hyper.gamma + advanced, state.hyper.xi + advanced)
 
 
 def posterior_mean_alpha(state: RecursionState) -> float:
-    return _moments(_stage_mixture(state))[0]
+    return posterior(state).moments().mean_alpha
 
 
 def posterior_var_alpha(state: RecursionState) -> float:
-    return _moments(_stage_mixture(state))[1]
+    return posterior(state).moments().var_alpha
 
 
 def posterior_mean_beta(state: RecursionState) -> float:
-    return _moments(_stage_mixture(state))[2]
+    return posterior(state).moments().mean_beta
 
 
 def posterior_var_beta(state: RecursionState) -> float:
-    return _moments(_stage_mixture(state))[3]
+    return posterior(state).moments().var_beta
 
 
 def log_posterior_predictive(state: RecursionState, t: float) -> float:
     """Log density of the next prime's position at ``t > t_last``."""
-    return _log_predictive(_stage_mixture(state), t)
+    return posterior(state).log_predictive(t)
 
 
 def trajectory(
@@ -337,7 +327,7 @@ def trajectory(
         if k == 0:
             continue
         state = state_at(hyper, model, k, ts[k - 1])
-        rows.append(TrajectoryRow(state.k, state.t_last, *_moments(_stage_mixture(state))))
+        rows.append(TrajectoryRow(state.k, state.t_last, *posterior(state).moments()))
     return rows
 
 

@@ -13,8 +13,8 @@ integrals selected by :class:`ErrorBoundModel`:
 
 Each model is defined once, in :func:`error_forms`, as ``log F_raw`` and the
 elasticity ``x f / F_raw`` written in ``log x`` and ``log log x``.  The array
-and scalar functions here (``F``, ``f`` and their logs, the positive-density
-floor) and the hunt targets of :mod:`.tmcmc` are all derived from that form.
+and scalar functions here (``F``, ``f`` and the positive-density floor) and
+the hunt targets of :mod:`.tmcmc` are all derived from that form.
 
 Every ``F`` handed to callers by :func:`error_integral` is anchored at 2
 (``F(2) == 0``) so that stage sums over consecutive primes telescope exactly.
@@ -46,8 +46,6 @@ __all__ = [
     "error_integral",
     "error_integral_raw",
     "error_density",
-    "log_error_integral_raw",
-    "log_error_density",
     "positive_density_floor",
     "MT_DECAY_CONSTANT",
 ]
@@ -202,19 +200,14 @@ def _logs(x, lo: float, *, strict: bool, what: str):
     return arr, lg, np.log(lg)
 
 
-def log_error_integral_raw(model: ErrorBoundModel, x):
-    """``log F_raw(x)`` for ``x > 1``."""
-    _, lg, llg = _logs(x, 1.0, strict=True, what="log_error_integral_raw")
-    return _ret(x, error_forms(model)[0](lg, llg))
-
-
 def error_integral_raw(model: ErrorBoundModel, x):
     """The un-anchored closed form of ``F`` (no subtraction at 2).
 
     Valid for ``x > 1``; prefer :func:`error_integral` in anything that sums
     stage contributions, which is anchored so ``F(2) == 0``.
     """
-    return _ret(x, np.exp(log_error_integral_raw(model, x)))
+    _, lg, llg = _logs(x, 1.0, strict=True, what="error_integral_raw")
+    return _ret(x, np.exp(error_forms(model)[0](lg, llg)))
 
 
 def error_integral(model: ErrorBoundModel, x):
@@ -239,16 +232,6 @@ def error_density(model: ErrorBoundModel, x):
     # (F_raw / x) * elasticity: taking the exp of log F_raw - log x keeps f(2)
     # correctly rounded for RH_SQRT, where exp(log F_raw) * e / x is 1.2 ulp off
     return _ret(x, np.exp(log_raw(lg, llg) - lg) * elasticity(lg))
-
-
-def log_error_density(model: ErrorBoundModel, x):
-    """``log f(x)`` for ``x >= 2``, raising where the density is <= 0."""
-    arr, lg, llg = _logs(x, 2.0, strict=False, what="log_error_density")
-    log_raw, elasticity = error_forms(model)
-    e = elasticity(lg)
-    if np.any(e <= 0.0):
-        raise DomainError(f"{model.label} density is not positive at x={np.min(arr):g}")
-    return _ret(x, log_raw(lg, llg) - lg + np.log(e))
 
 
 def positive_density_floor(model: ErrorBoundModel) -> int:

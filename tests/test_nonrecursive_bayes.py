@@ -38,12 +38,27 @@ def subset_coefficients(primes, model):
     return coeffs
 
 
+def flat_joint(primes, post):
+    """Flat prior times the likelihood of ``primes``, unnormalized (test oracle)."""
+    c1 = [li(t) for t in primes]
+    c2 = [error_density(RH_SQRT, t) for t in primes]
+    A, B = post.state.sum_b1, post.state.sum_b2
+
+    def unnorm(a, b):
+        prod = 1.0
+        for x, y in zip(c1, c2):
+            prod *= a * x + b * y
+        return np.exp(-a * A - b * B) * prod
+
+    return unnorm
+
+
 class TestBuild:
     def test_two_term_structure_at_k1(self):
         post = nb.build([2], PROPER, RH_SQRT)
-        p = np.exp(post.log_p)
+        p = np.exp(post.log_w)
         c1, c2 = li(2.0), error_density(RH_SQRT, 2.0)
-        a_rate, b_rate = post.sum_b1, post.sum_b2
+        a_rate, b_rate = post.state.sum_b1, post.state.sum_b2
         w1 = c1 * math.gamma(2.0) / a_rate**2 * math.gamma(1.0) / b_rate
         w0 = c2 * math.gamma(1.0) / a_rate * math.gamma(2.0) / b_rate**2
         assert p[1] == pytest.approx(w1 / (w0 + w1), rel=1e-12)
@@ -54,7 +69,7 @@ class TestBuild:
         primes = [int(p) for p in primes_small.primes[:k]]
         post = nb.build(primes, FLAT if k > 1 else PROPER, RH_SQRT)
         expected = subset_coefficients(primes, RH_SQRT)
-        np.testing.assert_allclose(np.exp(post.log_e), expected, rtol=1e-10)
+        np.testing.assert_allclose(np.exp(post.log_c), expected, rtol=1e-10)
 
     def test_every_stage_equals_enumeration(self, primes_small):
         primes = [float(p) for p in primes_small.primes[:12]]
@@ -67,7 +82,7 @@ class TestBuild:
     def test_weights_normalized(self, primes_small):
         primes = [int(p) for p in primes_small.primes[:10]]
         post = nb.build(primes, FLAT, RH_SQRT)
-        assert np.exp(post.log_p).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(post.log_w).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cap(self, primes_2e6):
         primes = [int(p) for p in primes_2e6.primes[:4097]]
@@ -90,13 +105,13 @@ class TestBuild:
                 for r in range(i + 1, 0, -1):
                     e[r] = e[r] * c2 + e[r - 1] * c1
                 e[0] *= c2
-            A, B = mp.mpf(post.sum_b1), mp.mpf(post.sum_b2)
+            A, B = mp.mpf(post.state.sum_b1), mp.mpf(post.state.sum_b2)
             w = [
                 e[r] * mp.gamma(1 + r) / A ** (1 + r) * mp.gamma(1 + k - r) / B ** (1 + k - r)
                 for r in range(k + 1)
             ]
             expected = mp.fsum(wr * (1 + r) for r, wr in enumerate(w)) / mp.fsum(w) / A
-        assert nb.mean_alpha(post) == pytest.approx(float(expected), rel=1e-12)
+        assert post.moments().mean_alpha == pytest.approx(float(expected), rel=1e-12)
 
     def test_rejects_unordered(self):
         with pytest.raises(DomainError):
@@ -119,18 +134,20 @@ def post_k10(primes_small):
     return nb.build(primes, FLAT, RH_SQRT)
 
 
+class TestDensity:
+    def test_normalizes_by_quadrature(self, post_k10):
+        assert box_integrals(post_k10.pdf, 70.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_prior_times_likelihood(self, post_k10, primes_small):
+        unnorm = flat_joint([float(p) for p in primes_small.primes[:10]], post_k10)
+        z = box_integrals(unnorm, 70.0)
+        for point in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3)):
+            assert post_k10.pdf(*point) == pytest.approx(unnorm(*point) / z, rel=1e-10)
+
+
 class TestMoments:
     def test_match_quadrature(self, post_k10, primes_small):
-        primes = [float(p) for p in primes_small.primes[:10]]
-        c1 = [li(t) for t in primes]
-        c2 = [error_density(RH_SQRT, t) for t in primes]
-        A, B = post_k10.sum_b1, post_k10.sum_b2
-
-        def unnorm(a, b):
-            prod = 1.0
-            for x, y in zip(c1, c2):
-                prod *= a * x + b * y
-            return np.exp(-a * A - b * B) * prod
+        unnorm = flat_joint([float(p) for p in primes_small.primes[:10]], post_k10)
 
         def integrands(a, b):
             u = unnorm(a, b)
@@ -138,44 +155,35 @@ class TestMoments:
 
         z, *moments = box_integrals(integrands, 70.0)
         ma, mb, maa = np.array(moments) / z
-        assert nb.mean_alpha(post_k10) == pytest.approx(ma, rel=1e-10)
-        assert nb.mean_beta(post_k10) == pytest.approx(mb, rel=1e-10)
-        assert nb.var_alpha(post_k10) == pytest.approx(maa - ma**2, rel=1e-10)
+        assert post_k10.moments().mean_alpha == pytest.approx(ma, rel=1e-10)
+        assert post_k10.moments().mean_beta == pytest.approx(mb, rel=1e-10)
+        assert post_k10.moments().var_alpha == pytest.approx(maa - ma**2, rel=1e-10)
 
     def test_both_parameterizations_agree(self, post_k10):
-        r = np.arange(post_k10.k + 1, dtype=float)
+        r = np.arange(post_k10.state.k + 1, dtype=float)
         # beta moments computed from the alpha-led weights must match the
         # beta-led computation exactly: same density, re-expanded
-        w_p = np.exp(post_k10.log_p)
-        beta_from_p = float(np.sum(w_p * (post_k10.hyper.xi + post_k10.k - r)) / post_k10.sum_b2)
-        assert nb.mean_beta(post_k10) == pytest.approx(beta_from_p, rel=1e-12)
+        w_p = np.exp(post_k10.log_w)
+        state = post_k10.state
+        beta_from_p = float(np.sum(w_p * (state.hyper.xi + state.k - r)) / state.sum_b2)
+        assert post_k10.moments().mean_beta == pytest.approx(beta_from_p, rel=1e-12)
 
     def test_k1_equals_recursive(self):
         state = rb.init(PROPER, RH_SQRT, 2)
         post = nb.build([2], PROPER, RH_SQRT)
-        assert nb.mean_alpha(post) == rb.posterior_mean_alpha(state)
-        assert nb.mean_beta(post) == rb.posterior_mean_beta(state)
-        assert nb.var_alpha(post) == rb.posterior_var_alpha(state)
-        assert nb.var_beta(post) == rb.posterior_var_beta(state)
+        assert post.moments().mean_alpha == rb.posterior_mean_alpha(state)
+        assert post.moments().mean_beta == rb.posterior_mean_beta(state)
+        assert post.moments().var_alpha == rb.posterior_var_alpha(state)
+        assert post.moments().var_beta == rb.posterior_var_beta(state)
 
 
 class TestPredictive:
     def test_matches_quadrature(self, primes_small):
         primes = [float(p) for p in primes_small.primes[:10]]
         post = nb.build(primes, FLAT, RH_SQRT)
-        from prime_oracle.specialfn import Li, error_integral
-
-        c1 = [li(t) for t in primes]
-        c2 = [error_density(RH_SQRT, t) for t in primes]
-        A, B = post.sum_b1, post.sum_b2
+        unnorm = flat_joint(primes, post)
         tk = primes[-1]
         ts = (31.0, 45.0, 80.0)
-
-        def unnorm(a, b):
-            prod = 1.0
-            for x, y in zip(c1, c2):
-                prod *= a * x + b * y
-            return np.exp(-a * A - b * B) * prod
 
         def waiting(a, b, t):
             lam = a * li(t) + b * error_density(RH_SQRT, t)
@@ -190,13 +198,13 @@ class TestPredictive:
 
         z, *preds = box_integrals(integrands, 60.0)
         for t, target in zip(ts, np.array(preds) / z):
-            assert math.exp(nb.log_predictive(post, t)) == pytest.approx(target, rel=1e-10)
+            assert math.exp(post.log_predictive(t)) == pytest.approx(target, rel=1e-10)
 
     def test_k1_equals_recursive(self):
         state = rb.init(PROPER, RH_SQRT, 2)
         post = nb.build([2], PROPER, RH_SQRT)
         for t in (3.0, 10.0, 100.0):
-            assert nb.log_predictive(post, t) == pytest.approx(
+            assert post.log_predictive(t) == pytest.approx(
                 rb.log_posterior_predictive(state, t), abs=1e-12
             )
 
@@ -205,13 +213,13 @@ class TestPredictive:
         t_next = int(primes_small.primes[51])
         post_mt = nb.build(primes, FLAT, MT)
         post_xl = nb.build(primes, FLAT, X_OVER_LOG)
-        ratio = nb.log_predictive(post_mt, t_next) - nb.log_predictive(post_xl, t_next)
+        ratio = post_mt.log_predictive(t_next) - post_xl.log_predictive(t_next)
         assert ratio > 0
 
     def test_rejects_points_behind(self, primes_small):
         post = nb.build([2, 3, 5], FLAT, RH_SQRT)
         with pytest.raises(DomainError):
-            nb.log_predictive(post, 5.0)
+            post.log_predictive(5.0)
 
 
 class TestEquivalenceReport:
@@ -270,8 +278,8 @@ class TestEquivalenceReport:
         primes = [int(p) for p in primes_small.primes[:128]]
         [row] = nb.equivalence_report(primes, FLAT, [128])
         post = nb.build(primes, FLAT, RH_SQRT)
-        assert row.nonrec_mean_alpha == pytest.approx(nb.mean_alpha(post), rel=1e-12)
-        assert row.nonrec_mean_beta == pytest.approx(nb.mean_beta(post), rel=1e-12)
+        assert row.nonrec_mean_alpha == pytest.approx(post.moments().mean_alpha, rel=1e-12)
+        assert row.nonrec_mean_beta == pytest.approx(post.moments().mean_beta, rel=1e-12)
 
     @pytest.mark.parametrize(
         "primes, hyper, checkpoints, model",

@@ -17,10 +17,7 @@ from prime_oracle.specialfn import (
     Variant,
     error_density,
     error_integral,
-    error_integral_raw,
     li,
-    log_error_density,
-    log_error_integral_raw,
     positive_density_floor,
     rh_eps,
 )
@@ -148,40 +145,6 @@ class TestErrorDensity:
         h = 1e-3
         fd = (error_integral(MT, 1e4 + h) - error_integral(MT, 1e4 - h)) / (2.0 * h)
         assert error_density(MT, 1e4) == pytest.approx(fd, rel=1e-6)
-
-
-class TestLogForms:
-    # each x is checked as a scalar and inside an array, so both return
-    # paths of the log forms and of the forms they are compared with run
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
-    @given(x=st.floats(min_value=3.0, max_value=1e15))
-    @settings(max_examples=60, deadline=None)
-    def test_log_raw_integral(self, model, x):
-        assert log_error_integral_raw(model, x) == pytest.approx(
-            math.log(error_integral_raw(model, x)), rel=1e-12
-        )
-        xs = np.array([x, 3.0, 1e15])
-        np.testing.assert_allclose(
-            log_error_integral_raw(model, xs), np.log(error_integral_raw(model, xs)), rtol=1e-12
-        )
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
-    @given(x=st.floats(min_value=3.0, max_value=1e15))
-    @settings(max_examples=60, deadline=None)
-    def test_log_density(self, model, x):
-        assert log_error_density(model, x) == pytest.approx(
-            math.log(error_density(model, x)), rel=1e-12
-        )
-        xs = np.array([x, 3.0, 1e15])
-        np.testing.assert_allclose(
-            log_error_density(model, xs), np.log(error_density(model, xs)), rtol=1e-12
-        )
-
-    def test_log_density_guards(self):
-        with pytest.raises(DomainError):
-            log_error_density(MT, 2.1)
-        with pytest.raises(DomainError):
-            log_error_density(X_OVER_LOG, 2.5)
 
 
 class TestModelTypes:
