@@ -78,7 +78,11 @@ def _parse_hyper(text: str) -> Hyperparameters:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise DomainError("--hyper wants four comma-separated values: a,b,gamma,xi")
-    return Hyperparameters(*(float(p) for p in parts))
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise DomainError(f"--hyper values must be numbers, got {text!r}") from None
+    return Hyperparameters(*values)
 
 
 def _decade_checkpoints(limit: float) -> list[float]:

@@ -38,6 +38,9 @@ LUCAS_LEHMER_CEILING = 100_000
 #: Largest sieve limit this module will attempt.
 SIEVE_LIMIT_CEILING = 10**9
 
+#: Boolean flags per sieve segment: the scratch memory of any sieve (64 MB).
+_SEGMENT = 1 << 26
+
 # 56 digits of log10(2); exact digit counts for any exponent a float could
 # silently get wrong near an integer boundary.
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131")
@@ -53,25 +56,14 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def __post_init__(self) -> None:
-        if self.primes.dtype != np.uint64:
-            object.__setattr__(self, "primes", self.primes.astype(np.uint64))
 
+def primes_up_to(limit: int) -> PrimeTable:
+    """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977).
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)
-
-
-def primes_up_to(limit: int, *, segment_bytes: int = 1 << 26) -> PrimeTable:
-    """Sieve of Eratosthenes, segmented to cap working memory.
-
-    ``segment_bytes`` bounds the boolean scratch array per segment, so a
-    limit of 1e9 stays within a small fraction of an 8 GB machine.
+    Flags ``_SEGMENT`` integers at a time from 0 and strikes the multiples of
+    each base prime ``p <= isqrt(limit)`` from ``max(p*p, first multiple >= lo)``.
+    The base primes come from this same function (five levels deep at 1e9), so
+    one loop serves every limit within one segment of scratch memory.
     """
     limit = int(limit)
     if limit < 2:
@@ -79,24 +71,16 @@ def primes_up_to(limit: int, *, segment_bytes: int = 1 << 26) -> PrimeTable:
     if limit > SIEVE_LIMIT_CEILING:
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_LIMIT_CEILING}")
 
-    segment = max(int(segment_bytes), 1 << 16)
-    if limit <= segment:
-        return PrimeTable(limit, _simple_sieve(limit).astype(np.uint64))
-
-    base = _simple_sieve(math.isqrt(limit))
-    chunks = [base.astype(np.uint64)]
-    lo = int(base[-1]) + 1 if len(base) else 2
-    lo = max(lo, math.isqrt(limit) + 1)
-    while lo <= limit:
-        hi = min(lo + segment - 1, limit)
-        flags = np.ones(hi - lo + 1, dtype=bool)
+    root = math.isqrt(limit)
+    base = primes_up_to(root).primes.tolist() if root >= 2 else []
+    chunks = []
+    for lo in range(0, limit + 1, _SEGMENT):
+        flags = np.ones(min(_SEGMENT, limit + 1 - lo), dtype=bool)
+        if lo == 0:
+            flags[:2] = False
         for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            if start <= hi:
-                flags[start - lo :: p] = False
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
         chunks.append((np.flatnonzero(flags) + lo).astype(np.uint64))
-        lo = hi + 1
     return PrimeTable(limit, np.concatenate(chunks))
 
 

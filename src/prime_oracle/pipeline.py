@@ -50,6 +50,20 @@ class RecordKind(enum.Enum):
     MERSENNE_EXPONENT = "mersenne-exponent"
 
 
+#: The keys of a stored record and the JSON type of each (integers must be
+#: JSON integers); ``to_json`` writes exactly these and ``from_json`` checks them.
+_RECORD_SCHEMA = {
+    "value": int,
+    "kind": str,
+    "p0": int,
+    "k": int,
+    "seed": int,
+    "iteration_found": int,
+    "target_kind": str,
+    "digit_count": (int, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class CandidateRecord:
     """A discovered prime (or candidate Mersenne exponent) with provenance."""
@@ -76,33 +90,30 @@ class CandidateRecord:
                 )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "kind": self.kind.value,
-                "p0": self.p0,
-                "k": self.k,
-                "seed": self.seed,
-                "iteration_found": self.iteration_found,
-                "target_kind": self.target_kind,
-                "digit_count": self.digit_count,
-            },
-            sort_keys=True,
-        )
+        fields = {key: getattr(self, key) for key in _RECORD_SCHEMA}
+        fields["kind"] = self.kind.value
+        return json.dumps(fields, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CandidateRecord":
-        obj = json.loads(line)
-        return cls(
-            value=int(obj["value"]),
-            kind=RecordKind(obj["kind"]),
-            p0=int(obj["p0"]),
-            k=int(obj["k"]),
-            seed=int(obj["seed"]),
-            iteration_found=int(obj["iteration_found"]),
-            target_kind=str(obj["target_kind"]),
-            digit_count=None if obj.get("digit_count") is None else int(obj["digit_count"]),
-        )
+        """Inverse of :meth:`to_json`; anything off its schema is a DomainError."""
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"not a JSON record ({exc})") from None
+        if not isinstance(obj, dict):
+            raise DomainError(f"a record must be a JSON object, got {line!r}")
+        for key, types in _RECORD_SCHEMA.items():
+            value = obj.get(key, ...)
+            # bool is an int subclass in Python but not a JSON integer
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DomainError(f"record key {key!r} is missing or of the wrong JSON type")
+        fields = {key: obj[key] for key in _RECORD_SCHEMA}
+        try:
+            fields["kind"] = RecordKind(fields["kind"])
+        except ValueError:
+            raise DomainError(f"unknown record kind {fields['kind']!r}") from None
+        return cls(**fields)
 
 
 @dataclass
@@ -331,14 +342,19 @@ def load_records(path) -> list[CandidateRecord]:
     """Read records back, re-verifying that every value is prime.
 
     The primality re-check is the startup self-check against a corrupted or
-    hand-edited store (record construction re-runs the proof).
+    hand-edited store (record construction re-runs the proof).  A line that
+    is not a well-formed, valid record raises :class:`DomainError` naming
+    ``path:line``.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if line and not line.startswith("#"):
-                records.append(CandidateRecord.from_json(line))
+                try:
+                    records.append(CandidateRecord.from_json(line))
+                except DomainError as exc:
+                    raise DomainError(f"{path}:{line_no}: {exc}") from None
     return records
 
 

@@ -101,8 +101,8 @@ class TrajectoryRow(NamedTuple):
 
 def _checked_hyper(hyper: Hyperparameters) -> Hyperparameters:
     hyper = Hyperparameters(*hyper)
-    if any(h < 0 for h in hyper):
-        raise DomainError(f"hyperparameters must be >= 0, got {hyper}")
+    if not all(0.0 <= h < math.inf for h in hyper):  # also refuses NaN
+        raise DomainError(f"hyperparameters must be finite and >= 0, got {hyper}")
     return hyper
 
 
@@ -363,8 +363,6 @@ def model_compare_log_ratio(
         raise DomainError(
             "model comparison requires states conditioned on the same primes"
         )
-    if state_m1.model == state_m2.model:
-        return 0.0
     return log_posterior_predictive(state_m1, t_next) - log_posterior_predictive(
         state_m2, t_next
     )

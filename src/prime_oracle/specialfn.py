@@ -102,7 +102,11 @@ class ErrorBoundModel:
             _, _, tail = text.partition(":")
             if not tail:
                 raise DomainError("rh-eps needs an epsilon, e.g. rh-eps:0.1")
-            return cls(Variant.RH_EPS, float(tail))
+            try:
+                epsilon = float(tail)
+            except ValueError:
+                raise DomainError(f"rh-eps epsilon must be a number, got {tail!r}") from None
+            return cls(Variant.RH_EPS, epsilon)
         for variant in Variant:
             if variant is not Variant.RH_EPS and text == variant.value:
                 return cls(variant)

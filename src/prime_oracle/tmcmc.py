@@ -203,7 +203,9 @@ class TmcmcChain:
         chain.proposals_mult = state["proposals_mult"]
         chain.accepts_mult = state["accepts_mult"]
         chain.auto_rejects = state["auto_rejects"]
-        chain.rng.setstate(state["rng_state"])
+        # a snapshot that went through JSON holds lists where getstate() gave tuples
+        version, internal, gauss_next = state["rng_state"]
+        chain.rng.setstate((version, tuple(internal), gauss_next))
         return chain
 
 

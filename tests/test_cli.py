@@ -51,6 +51,12 @@ class TestHuntCommands:
         for rec in load_records(out):
             assert rec.iteration_found > 100000
 
+    def test_mersenne_from_torn_results_exit_code(self, tmp_path, capsys):
+        general = tmp_path / "records.jsonl"
+        general.write_text(FILE_HEADER + '\n{"value": 1000003, "kind": "gen')
+        assert main(["mersenne", "--from-results", str(general), "--keep", "10"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {general}:2: ")
+
     def test_mersenne_requires_start(self):
         assert main(["mersenne", "--keep", "10", "--burnin", "0"]) == 2
 
@@ -87,6 +93,15 @@ class TestDiagnosticsCommands:
 
     def test_diagnose_bad_model_exit_code(self, tmp_path):
         assert main(["diagnose", "--model", "zeta", "--limit", "100"]) == 2
+
+    def test_diagnose_non_numeric_epsilon_exit_code(self, capsys):
+        assert main(["diagnose", "--model", "rh-eps:abc", "--limit", "100"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_diagnose_non_numeric_hyper_exit_code(self, capsys):
+        argv = ["diagnose", "--model", "mt", "--limit", "100", "--hyper", "1,x,1,1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_compare_models_csv(self, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prime_oracle import numtheory
 from prime_oracle.errors import DomainError, ResourceError
 from prime_oracle.numtheory import (
     is_prime_u64,
@@ -28,6 +29,10 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         f += 6
     return True
+
+
+def trial_division_primes(limit: int) -> list[int]:
+    return [n for n in range(2, limit + 1) if trial_division_is_prime(n)]
 
 
 def mersenne_smallest_factor(p: int) -> int | None:
@@ -63,10 +68,22 @@ class TestPrimesUpTo:
         assert np.all(np.diff(p) > 0)
         assert p[-1] <= primes_small.limit
 
-    def test_segmented_matches_simple(self):
-        whole = primes_up_to(300_000)
-        segmented = primes_up_to(300_000, segment_bytes=1 << 16)
-        assert np.array_equal(whole.primes, segmented.primes)
+    def test_segment_boundaries(self, monkeypatch):
+        # on either side of the k-th segment boundary, and at a prime square
+        for seg in (2, 7, 64, 1000):
+            monkeypatch.setattr(numtheory, "_SEGMENT", seg)
+            limits = [k * seg + d for k in (1, 2, 5) for d in (-1, 0, 1)]
+            for limit in [n for n in limits if n >= 2] + [97 * 97]:
+                got = primes_up_to(limit).primes
+                assert got.dtype == np.uint64
+                assert got.tolist() == trial_division_primes(limit), (seg, limit)
+
+    @given(st.integers(min_value=2, max_value=20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_small_segments_match_trial_division(self, limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numtheory, "_SEGMENT", 64)
+            assert primes_up_to(limit).primes.tolist() == trial_division_primes(limit)
 
     def test_empty_domain(self):
         with pytest.raises(DomainError):

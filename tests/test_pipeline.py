@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -239,6 +240,36 @@ class TestPersistence:
         }
         path.write_text(FILE_HEADER + "\n" + json.dumps(obj) + "\n")
         with pytest.raises(DomainError):
+            load_records(path)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda text: text[: len(text) // 2],  # torn: the writer died mid-line
+            lambda text: text.replace('"value": 1000003', '"value": 1000003.0'),
+            lambda text: text.replace('"seed": 1, ', ""),
+            lambda text: text.replace('"seed": 1', '"seed": true'),
+            lambda text: "[" + text + "]",
+        ],
+        ids=["torn", "float-value", "missing-key", "bool-seed", "not-an-object"],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, mangle):
+        path = tmp_path / "records.jsonl"
+        rec = CandidateRecord(
+            value=1_000_003,
+            kind=RecordKind.GENERAL_PRIME,
+            p0=P0,
+            k=solve_k(P0),
+            seed=1,
+            iteration_found=5,
+            target_kind="general-h1",
+        )
+        write_records(path, [rec, rec])
+        header, good, last = path.read_text().splitlines()
+        bad = mangle(last)
+        assert bad != last
+        path.write_text("\n".join([header, good, bad]))
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:3: "):
             load_records(path)
 
     def test_record_validation(self):

@@ -105,6 +105,13 @@ class TestInitUpdate:
         with pytest.raises(DomainError):
             rb.init(Hyperparameters(a=-1.0), RH_SQRT, 2)
 
+    @pytest.mark.parametrize(
+        "hyper", [Hyperparameters(a=math.nan), Hyperparameters(gamma=math.inf)]
+    )
+    def test_rejects_non_finite_hyper(self, hyper):
+        with pytest.raises(DomainError):
+            rb.init(hyper, RH_SQRT, 2)
+
 
 class TestPosterior:
     def test_weights_sum_to_one(self, state_k5):
@@ -417,6 +424,8 @@ class TestModelCompare:
             s1 = rb.init(FLAT, MT, p) if s1 is None else rb.update(s1, p)
             s2 = rb.init(FLAT, MT, p) if s2 is None else rb.update(s2, p)
         assert rb.model_compare_log_ratio(s1, s2, 300.0) == 0.0
+        with pytest.raises(DomainError):
+            rb.model_compare_log_ratio(s1, s2, 1.0)  # below t_last = 229
 
     def test_mismatched_states_rejected(self, primes_small):
         primes = [int(p) for p in primes_small.primes[1:20]]

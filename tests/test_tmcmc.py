@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -229,6 +230,10 @@ class TestReproducibility:
         rest_resumed = [z for _, z, _ in run_steps(resumed, target, cfg, 2000)]
         assert rest == rest_resumed
         assert resumed.iteration == 4000
+
+        from_json = TmcmcChain.from_snapshot(json.loads(json.dumps(snap)))
+        assert [z for _, z, _ in run_steps(from_json, target, cfg, 2000)] == rest
+        assert from_json.snapshot() == resumed.snapshot()
 
         whole_chain = TmcmcChain(initial_z(target), cfg.seed)
         whole = [z for _, z, _ in run_steps(whole_chain, target, cfg, 4000)]
