@@ -24,6 +24,10 @@ from .tmcmc import TmcmcConfig
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(TmcmcConfig)}
 
+#: Float flags that size a computation; inf or nan would otherwise surface as
+#: an OverflowError or ValueError from ``int()`` or the numerics.
+_FINITE_FLAGS = ("limit", "horizon")
+
 
 def _read_config_file(path: str) -> dict:
     overrides = {}
@@ -263,11 +267,10 @@ def _cmd_verify(args) -> int:
 def _cmd_ll_check(args) -> int:
     if args.max_exponent > 100_000:
         raise DomainError("--max-exponent is capped at 100000")
+    if args.max_exponent < 3:
+        raise DomainError("--max-exponent must be at least 3: the sweep covers odd prime exponents")
     found = []
-    for p in primes_up_to(max(3, args.max_exponent)).primes:
-        p = int(p)
-        if p < 3 or p > args.max_exponent:
-            continue
+    for p in primes_up_to(args.max_exponent).primes[1:].tolist():
         if lucas_lehmer(p):
             found.append(p)
             print(f"2^{p}-1 is prime ({mersenne_digit_count(p)} digits)")
@@ -353,6 +356,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in _FINITE_FLAGS:
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"--{flag} must be finite, got {value}")
         return args.func(args)
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
 """Exact integer primality and prime-table services.
 
-Everything here is deterministic: the Miller-Rabin witness set below is
-proven to classify every integer below psi_12 ~ 3.19e23 (comfortably past
-2**64) without error, larger inputs are refused, and the Lucas-Lehmer test
-is exact for Mersenne numbers.
+Everything here is deterministic.  Miller-Rabin runs with the smallest
+witness set proven for the range of its input (``_MR_TABLE``): the first k
+primes below Jaeschke's psi_k for k <= 6 (Math. Comp. 61, 1993; OEIS
+A014233), Sinclair's seven bases below 2**64 (checked against Feitsma and
+Galway's list of every base-2 strong pseudoprime below 2**64), and the first
+twelve primes below psi_12 ~ 3.19e23 (Sorenson & Webster, Math. Comp. 86,
+2017).  Larger inputs are refused, and the Lucas-Lehmer test is exact for
+Mersenne numbers.
 """
 
 from __future__ import annotations
@@ -26,10 +30,25 @@ __all__ = [
     "SIEVE_LIMIT_CEILING",
 ]
 
-#: First twelve primes; a proven deterministic Miller-Rabin witness set for
-#: every n < psi_12 (> 2**64; Sorenson & Webster, Math. Comp. 86, 2017).
+#: First twelve primes: the trial divisors, and a proven deterministic
+#: Miller-Rabin witness set for every n < psi_12 (Sorenson & Webster 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318_665_857_834_031_151_167_461
+
+#: ``(bound, witnesses)`` rows, ascending; the first row whose bound exceeds n
+#: decides n.  Rows 1-6 are psi_1..psi_6 with the first k primes (Jaeschke
+#: 1993).  Sinclair's bases need no reduction mod n: every n reaching that row
+#: is at least psi_6 ~ 3.47e12, past the largest base.
+_MR_TABLE = (
+    (2_047, _MR_WITNESSES[:1]),
+    (1_373_653, _MR_WITNESSES[:2]),
+    (25_326_001, _MR_WITNESSES[:3]),
+    (3_215_031_751, _MR_WITNESSES[:4]),
+    (2_152_302_898_747, _MR_WITNESSES[:5]),
+    (3_474_749_660_383, _MR_WITNESSES[:6]),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (_MR_LIMIT, _MR_WITNESSES),
+)
 
 #: Largest exponent accepted by :func:`lucas_lehmer`; certifying 1e8-scale
 #: exponents is out of reach on desk hardware and refused loudly.
@@ -87,9 +106,12 @@ def primes_up_to(limit: int) -> PrimeTable:
 def is_prime_u64(n: int) -> bool:
     """Deterministic primality for every integer below psi_12 (past 2**64).
 
-    Small-prime division handles the bulk of composites; survivors go
-    through Miller-Rabin with the fixed witness set, which has no false
-    answers below psi_12.  Larger inputs raise :class:`DomainError` rather
+    Small-prime division by 2..37 handles the bulk of composites; survivors
+    go through Miller-Rabin with the witnesses of the first ``_MR_TABLE`` row
+    whose bound exceeds n: the first k primes below psi_k for k <= 6
+    (Jaeschke 1993), Sinclair's seven bases below 2**64, and the first twelve
+    primes below psi_12 (Sorenson & Webster 2017).  Each set has no false
+    answers in its range.  Larger inputs raise :class:`DomainError` rather
     than get an unproven verdict.
     """
     n = int(n)
@@ -105,7 +127,10 @@ def is_prime_u64(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for bound, witnesses in _MR_TABLE:
+        if n < bound:
+            break
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

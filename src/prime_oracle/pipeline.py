@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -43,6 +44,10 @@ __all__ = [
 FILE_HEADER = "# prime-oracle v1"
 
 _U64_LIMIT = 1 << 64
+
+#: What ``verify`` accepts as an integer: ``int()`` alone would also take
+#: ``1_000`` and non-ASCII digits such as ``\u0661\u0663``.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class RecordKind(enum.Enum):
@@ -401,8 +406,9 @@ class VerifyReport:
 def verify_file(path) -> VerifyReport:
     """Per-line primality verdicts for a file of integers, one per line.
 
-    Blank lines and ``#`` comments are skipped; unparseable lines are
-    reported and processing continues.  A value past the proven primality
+    Blank lines and ``#`` comments are skipped; a line that is not an ASCII
+    decimal integer (optional sign, digits 0-9) is reported as unparseable
+    and processing continues.  A value past the proven primality
     range raises :class:`DomainError` naming ``path:line``.
     """
     entries = []
@@ -412,6 +418,8 @@ def verify_file(path) -> VerifyReport:
             if not text or text.startswith("#"):
                 continue
             try:
+                if _DECIMAL.fullmatch(text) is None:
+                    raise ValueError(f"not an ASCII decimal integer: {text!r}")
                 value = int(text)
             except ValueError as exc:
                 entries.append(VerifyEntry(line_no, text, None, None, str(exc)))

@@ -1,6 +1,8 @@
 import gc
 import warnings
 
+import pytest
+
 from prime_oracle.cli import _read_config_file, main
 from prime_oracle.pipeline import FILE_HEADER, load_records
 
@@ -151,6 +153,21 @@ class TestDiagnosticsCommands:
     def test_equivalence_cap(self):
         assert main(["equivalence", "--kmax", "4097"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--model", "rh-sqrt", "--limit", "inf"],
+            ["diagnose", "--model", "rh-sqrt", "--limit", "nan"],
+            ["compare-models", "--limit", "inf"],
+            ["compare-models", "--limit", "nan"],
+            ["simulate-nhpp", "--horizon", "inf"],
+        ],
+        ids=["diagnose-inf", "diagnose-nan", "compare-inf", "compare-nan", "simulate-inf"],
+    )
+    def test_non_finite_size_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --")
+
 
 class TestVerifyAndLl:
     def test_verify_output(self, tmp_path, capsys):
@@ -180,6 +197,14 @@ class TestVerifyAndLl:
 
     def test_ll_check_cap(self):
         assert main(["ll-check", "--max-exponent", "200000"]) == 2
+
+    def test_ll_check_below_first_odd_prime_refused(self, capsys):
+        # 2**2 - 1 = 3 is prime, but the sweep covers odd exponents only
+        for top in ("2", "0", "-7"):
+            assert main(["ll-check", "--max-exponent", top]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-exponent")
 
 
 class TestConfigFile:

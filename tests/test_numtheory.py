@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,6 +30,40 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         f += 6
     return True
+
+
+#: The first twelve primes: as strong-probable-prime bases they are proven
+#: for every n < psi_12 (Sorenson & Webster, Math. Comp. 86, 2017).
+TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: Jaeschke's psi_k (Math. Comp. 61, 1993; OEIS A014233) for k = 1..6: the
+#: least strong pseudoprime to all of the first k prime bases.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383)
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Independent oracle: the strong probable-prime test of odd n > 37 to ``bases``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime_by_spsp(n: int) -> int:
+    """Smallest prime >= odd n > 37 by the twelve-base test (n < psi_12)."""
+    while not strong_probable_prime(n, TWELVE_PRIMES):
+        n += 2
+    return n
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -124,6 +159,53 @@ class TestIsPrimeU64:
         assert is_prime_u64((1 << 59) - 1) is False
         assert 3215031751 == 151 * 751 * 28351
         assert 3825123056546413051 == 149491 * 747451 * 34233211
+
+    def test_witness_rows_change_at_each_bound(self):
+        # psi_k fools the first k primes, so it must already fall in a later
+        # row; 3825123056546413051 (psi_9 = psi_10 = psi_11) fools the first
+        # eleven and must meet the 64-bit bases
+        for k, bound in [*enumerate(PSI, start=1), (11, 3825123056546413051)]:
+            assert strong_probable_prime(bound, TWELVE_PRIMES[:k]), bound
+            assert not strong_probable_prime(bound, TWELVE_PRIMES), bound
+            assert is_prime_u64(bound) is False, bound
+
+    def test_64bit_matches_twelve_bases_seeded(self):
+        rng = random.Random(11)
+        primes32 = [next_prime_by_spsp(rng.getrandbits(32) | 1 << 31 | 1) for _ in range(60)]
+        primes64 = [next_prime_by_spsp(rng.getrandbits(64) | 1 << 63 | 1) for _ in range(60)]
+        assert all(is_prime_u64(p) for p in primes64)
+        cases = [561, 41041, 825265]  # Carmichael numbers
+        cases += [p * q for p, q in zip(primes32[::2], primes32[1::2])]
+        cases += [rng.randrange(1 << 40, 1 << 64) | 1 for _ in range(3000)]
+        for n in cases:
+            assert is_prime_u64(n) == strong_probable_prime(n, TWELVE_PRIMES), n
+
+    @given(st.integers(min_value=1 << 39, max_value=(1 << 63) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_64bit_matches_twelve_bases(self, half):
+        n = 2 * half + 1  # odd, in [2**40, 2**64)
+        assert is_prime_u64(n) == strong_probable_prime(n, TWELVE_PRIMES)
+
+    @pytest.mark.parametrize(
+        "n, calls",
+        [
+            (18446744073709551557, 7),  # largest prime below 2**64
+            ((1 << 61) - 1, 7),
+            (1000003, 2),  # below psi_2
+            ((1 << 64) + 13, 12),  # prime past 2**64
+        ],
+    )
+    def test_modular_exponentiations_per_prime(self, monkeypatch, n, calls):
+        count = 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return pow(*args)
+
+        monkeypatch.setattr(numtheory, "pow", counting, raising=False)
+        assert is_prime_u64(n) is True
+        assert count == calls
 
     def test_refuses_past_proven_range(self):
         # the twelve-prime witness set is proven only below psi_12

@@ -307,6 +307,20 @@ class TestVerifyFile:
         assert report.composites() == [140000054]
         assert "2 prime" in report.summary()
 
+    def test_only_ascii_decimal_integers_parse(self, tmp_path):
+        path = tmp_path / "ints.txt"
+        path.write_text("1_000\n-5\n+7\n\u0661\u0663\n 13 \n0x1f\n", encoding="utf-8")
+        report = verify_file(path)
+        assert [(e.line_no, e.value, e.verdict) for e in report.entries] == [
+            (1, None, None),
+            (2, -5, False),
+            (3, 7, True),
+            (4, None, None),
+            (5, 13, True),
+            (6, None, None),
+        ]
+        assert report.n_errors == 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
