@@ -209,6 +209,8 @@ def _cmd_compare_models(args) -> int:
 
 
 def _cmd_simulate_nhpp(args) -> int:
+    if args.reps < 1:
+        raise DomainError(f"--reps must be at least 1, got {args.reps}")
     model = ErrorBoundModel.parse(args.model)
     params = IntensityParams(args.alpha, args.beta)
     grid = [x for x in _decade_checkpoints(args.horizon) if x > np.e]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .specialfn import (
     ErrorBoundModel,
     IntensityParams,
@@ -24,6 +24,7 @@ from .specialfn import (
 )
 
 __all__ = [
+    "NHPP_EVENT_CEILING",
     "EventStream",
     "cumulative_intensity",
     "log_waiting_density",
@@ -32,6 +33,31 @@ __all__ = [
     "nth_event_check",
     "gap_window_check",
 ]
+
+
+#: Largest expected event count ``Lambda((2, horizon])`` that :func:`simulate`
+#: will draw.  One draw peaks near 129 bytes per event (``ru_maxrss``,
+#: rh-sqrt at 1e7), so 2**23 events take about 1.1 GB.  At alpha = 1,
+#: beta = 0 the ceiling falls at horizon 1.49e8, whose bracket cells are
+#: 0.0089 wide in log t: one panel each, on which the 3-point rule errs by at
+#: most 7.7e-16 of the increment (on the cell at t = 2; 2e-19 on the cell at
+#: the horizon).  A smaller alpha admits wider cells, which are split into
+#: panels of at most :data:`_PANEL_WIDTH`.
+NHPP_EVENT_CEILING = 1 << 23
+
+#: Widest Gauss-Legendre panel in log t.  The 3-point rule errs by about
+#: ``5e-7 * h**6`` of a panel's increment (4e-19 here).  On the panel at
+#: t = 2, where the hazard bends hardest, it errs by 1.5e-15 at beta <= 0.01
+#: (2.4e-14 for x-over-log at beta = 1).  A bracket cell is one panel up to
+#: horizon 1.6e9.
+_PANEL_WIDTH = 0.01
+
+#: 3-point Gauss-Legendre nodes on [-1, 1] and their weights.
+_GAUSS_LEGENDRE_3 = (
+    (0.0, 8.0 / 9.0),
+    (math.sqrt(0.6), 5.0 / 9.0),
+    (-math.sqrt(0.6), 5.0 / 9.0),
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +137,31 @@ def _draw_targets(rng: np.random.Generator, total: float) -> np.ndarray:
     return sums[sums <= total]
 
 
+def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t, panels: int):
+    """``Lambda((e^a, t])`` as ``integral_a^{log t} hazard(e^s) e^s ds``.
+
+    3-point Gauss-Legendre on ``panels`` equal panels, exact for quintics in
+    ``s``; :data:`_PANEL_WIDTH` bounds its error.  The nodes are added one at
+    a time, so the rule holds one node's array at once.
+    """
+    # log(t / e^a), not log(t) - a: the ratio lies within a cell of 1, so
+    # rounding it costs an ulp of t, where rounding log t costs an ulp of
+    # log t, about log t times more
+    half = np.exp(a)
+    np.divide(t, half, out=half)
+    np.log(half, out=half)
+    half *= 0.5 / panels
+    total = 0.0
+    for k in range(panels):
+        mid = a + (2 * k + 1) * half
+        for node, weight in _GAUSS_LEGENDRE_3:
+            t_node = np.exp(mid + node * half)
+            t_node *= weight * _hazard(model, params, t_node)
+            total += t_node
+    total *= half
+    return total
+
+
 def simulate(
     model: ErrorBoundModel, params: IntensityParams, horizon: float, seed: int
 ) -> EventStream:
@@ -118,18 +169,30 @@ def simulate(
 
     Unit-rate exponential arrival sums are mapped through the inverse of the
     cumulative intensity.  The inverse is found per event by bracketed
-    Newton iteration: a monotone grid supplies the bracket and the starting
-    point, and each round evaluates the cumulative intensity and the hazard
-    only on the events still active.  An event converges when its Newton
-    step is at most 1e-9 relative in t; that last step is taken (even onto a
-    bracket end) and the event leaves the active set.  An active event whose
-    step leaves its bracket is bisected instead.  Events still active after
-    60 rounds raise :class:`DomainError` rather than return unconverged.
+    Newton iteration: a monotone grid of 2049 points, even in log t, supplies
+    the bracket and the starting point.  Each round evaluates only the events
+    still active, and evaluates no log-integral: the residual is the grid's
+    cumulative intensity at the point that opens the event's first bracket
+    plus the increment from there by :func:`_log_increment`, and the slope
+    is :func:`_hazard`: four hazard evaluations per event per round where a
+    bracket cell is one panel.  An
+    event converges when its Newton step is at most 1e-9 relative in t; that
+    last step is taken (even onto a bracket end) and the event leaves the
+    active set.  An active event whose step leaves its bracket is bisected
+    instead.  Events still active after 60 rounds raise :class:`DomainError`
+    rather than return unconverged.
+
+    An expected count ``Lambda((2, horizon])`` above :data:`NHPP_EVENT_CEILING`
+    raises :class:`ResourceError` before any draw.
     """
     if not (horizon > 2.0):
         raise DomainError("simulate requires horizon > 2")
-    rng = np.random.default_rng(seed)
     total = cumulative_intensity(model, params, 2.0, horizon)
+    if not (total <= NHPP_EVENT_CEILING):
+        raise ResourceError(
+            f"expected event count {total:.4g} exceeds ceiling {NHPP_EVENT_CEILING}"
+        )
+    rng = np.random.default_rng(seed)
     targets = _draw_targets(rng, total)
     if len(targets) == 0:
         return EventStream(np.empty(0), model, params, int(seed), float(horizon))
@@ -145,17 +208,24 @@ def simulate(
             "cumulative intensity is not strictly increasing on [2, horizon]; "
             "the chosen coefficients make the intensity negative near the edge"
         )
+    # grid_lam[j] is Lambda at e**anchors[j]: Li and F take this same log of
+    # the grid as set (an ulp off grid_log_t at a few points)
+    anchors = np.log(grid_t)
+    panels = math.ceil((grid_log_t[1] - grid_log_t[0]) / _PANEL_WIDTH)
 
-    idx = np.clip(np.searchsorted(grid_lam, targets, side="right"), 1, len(grid_t) - 1)
-    lo = grid_t[idx - 1]
-    hi = grid_t[idx]
+    idx = np.clip(np.searchsorted(grid_lam, targets, side="right") - 1, 0, len(grid_t) - 2)
+    lo = grid_t[idx]
+    hi = grid_t[idx + 1]
     t = np.exp(np.interp(targets, grid_lam, grid_log_t))
     t = np.clip(t, lo, hi)
+    # the cumulative intensity each root still needs beyond its grid point
+    rest = targets
+    rest -= grid_lam[idx]
 
     active = np.arange(len(t))
     for _ in range(60):
         ta = t[active]
-        resid = np.asarray(cumulative_intensity(model, params, 2.0, ta)) - targets[active]
+        resid = _log_increment(model, params, anchors[idx[active]], ta, panels) - rest[active]
         lo_a = np.where(resid < 0.0, ta, lo[active])
         hi_a = np.where(resid >= 0.0, ta, hi[active])
         step = resid / _hazard(model, params, ta)
@@ -165,6 +235,8 @@ def simulate(
         t_new[outside] = 0.5 * (lo_a[outside] + hi_a[outside])
         t[active], lo[active], hi[active] = t_new, lo_a, hi_a
         active = active[~done]
+        # free this round's arrays before the next round makes its own
+        del ta, resid, lo_a, hi_a, step, t_new, done, outside
         if active.size == 0:
             break
     else:

@@ -128,17 +128,18 @@ class IntensityParams:
     """Coefficients of the two intensity components.
 
     ``alpha`` must be strictly positive.  ``beta`` may be zero (the pure
-    log-integral process); a negative value is rejected.
+    log-integral process); a negative value is rejected.  Both must be
+    finite.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0):
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.beta >= 0.0):
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
+        if not (0.0 < self.alpha < math.inf):
+            raise DomainError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not (0.0 <= self.beta < math.inf):
+            raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def _check_min(x, lo: float, *, strict: bool, what: str):

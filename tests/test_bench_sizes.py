@@ -1,16 +1,19 @@
-"""The benchmark's sieve sizes straddle one sieve segment.
+"""The benchmark's sizes sit where its workloads mean them to.
 
 ``primes_up_to`` has one segmented loop.  The ``integer`` workload's sieve is
 meant to run it over several segments and the ``posterior`` workload's over
 one, so a change to ``numtheory._SEGMENT`` or to the sizes in
-``bench/ops.py`` must not quietly move both cases to the same side.  This test
-reads the sizes (without changing them) and checks that they straddle it.
+``bench/ops.py`` must not quietly move both cases to the same side.  The
+``nhpp`` workload's draws must stay below ``nhpp.NHPP_EVENT_CEILING``, or
+every timed op would be a refusal.  These tests read the sizes (without
+changing them) and check both.
 """
 
 import importlib.util
 from pathlib import Path
 
-from prime_oracle import numtheory
+from prime_oracle import nhpp, numtheory
+from prime_oracle.specialfn import ErrorBoundModel, IntensityParams
 
 OPS = Path(__file__).resolve().parents[1] / "bench" / "ops.py"
 
@@ -22,7 +25,8 @@ def _load_ops():
     return module
 
 
-FULL = _load_ops().FULL
+BENCH_OPS = _load_ops()
+FULL = BENCH_OPS.FULL
 
 
 def test_integer_sieve_spans_several_segments():
@@ -33,3 +37,12 @@ def test_integer_sieve_spans_several_segments():
 
 def test_posterior_sieve_fits_one_segment():
     assert FULL["posterior_limit"] < numtheory._SEGMENT
+
+
+def test_nhpp_draws_stay_below_event_ceiling():
+    params = IntensityParams(BENCH_OPS.NHPP_ALPHA, BENCH_OPS.NHPP_BETA)
+    for label in (*BENCH_OPS.NHPP_MODELS, BENCH_OPS.NHPP_PROBE_MODEL):
+        expected = nhpp.cumulative_intensity(
+            ErrorBoundModel.parse(label), params, 2.0, FULL["nhpp_horizon"]
+        )
+        assert expected < nhpp.NHPP_EVENT_CEILING, label

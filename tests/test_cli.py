@@ -168,6 +168,24 @@ class TestDiagnosticsCommands:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --")
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--beta", "inf"], "beta must be finite"),
+            (["--alpha", "inf"], "alpha must be finite"),
+            (["--reps", "0"], "--reps must be at least 1"),
+            (["--reps", "-1"], "--reps must be at least 1"),
+            (["--horizon", "1e300"], "exceeds ceiling"),
+        ],
+        ids=["beta-inf", "alpha-inf", "reps-0", "reps-negative", "horizon-1e300"],
+    )
+    def test_simulate_nhpp_refusals_exit_code(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate-nhpp", "--horizon", "100", "--out", str(out)] + flags
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyAndLl:
     def test_verify_output(self, tmp_path, capsys):

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.stats import binomtest, chisquare, ks_2samp, poisson
 
 from prime_oracle import nhpp
-from prime_oracle.errors import DomainError
+from prime_oracle.errors import DomainError, ResourceError
 from prime_oracle.nhpp import (
+    NHPP_EVENT_CEILING,
     _draw_targets,
     _hazard,
     cumulative_intensity,
@@ -19,6 +20,7 @@ from prime_oracle.nhpp import (
 )
 from prime_oracle.specialfn import (
     MT,
+    MT_DECAY_CONSTANT,
     RH_SQRT,
     X_OVER_LOG,
     IntensityParams,
@@ -134,30 +136,104 @@ class TestSimulate:
             rel = np.abs(resid) / (_hazard(model, NEAR_PNT, t) * t)
             assert rel.max() <= 1e-12, (model.label, rel.max())
 
+    def test_inverse_accuracy_on_wide_cells(self):
+        # a tiny alpha keeps a 1e300 horizon below the event ceiling, and
+        # its bracket cells are 0.34 wide in log t: 34 Gauss-Legendre panels
+        # per cell hold the residual where one panel would leave 2e-10
+        params, horizon = IntensityParams(1e-295, 0.0), 1e300
+        for seed in range(3):
+            total = cumulative_intensity(RH_SQRT, params, 2.0, horizon)
+            targets = _draw_targets(np.random.default_rng(seed), total)
+            t = simulate(RH_SQRT, params, horizon, seed=seed).times
+            assert len(t) == len(targets) > 100
+            resid = cumulative_intensity(RH_SQRT, params, 2.0, t) - targets
+            rel = np.abs(resid) / (_hazard(RH_SQRT, params, t) * t)
+            assert rel.max() <= 1e-12, (seed, rel.max())
+
+    def test_root_accuracy_against_mpmath(self):
+        # 200 evenly spaced events per model, each against the root of
+        # Lambda((2, t]) = target in 40-digit arithmetic from the written-out
+        # closed forms.  The bound is the worst error on this sample of the
+        # residual Lambda((2, t]) - target evaluated through expi at every t
+        # (2.07e-15, mt); grid anchors plus Gauss-Legendre increments measured
+        # 1.77e-15, left by expi's own error of up to 8 ulps at the anchors
+        mp = pytest.importorskip("mpmath")
+        horizon, seed = 1e6, 0
+        decay = mp.mpf(MT_DECAY_CONSTANT)
+        raw = {
+            "rh-sqrt": lambda x: mp.sqrt(x) * mp.log(x),
+            "rh-eps:0.1": lambda x: x ** mp.mpf("0.6"),
+            "x-over-log": lambda x: x / mp.log(x),
+            "mt": lambda x: x * mp.log(x) ** mp.mpf(-0.75) * mp.exp(-mp.sqrt(mp.log(x) / decay)),
+        }
+        worst = 0.0
+        for model in (RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT):
+            total = cumulative_intensity(model, NEAR_PNT, 2.0, horizon)
+            targets = _draw_targets(np.random.default_rng(seed), total)
+            t = simulate(model, NEAR_PNT, horizon, seed=seed).times
+            F = raw[model.label]
+            with mp.workdps(40):
+                two = mp.mpf(2)
+                anchor = mp.ei(mp.log(two)), F(two)
+
+                def lam(x):
+                    return NEAR_PNT.alpha * (mp.ei(mp.log(x)) - anchor[0]) + NEAR_PNT.beta * (
+                        F(x) - anchor[1]
+                    )
+
+                for k in np.linspace(0, len(t) - 1, 200).astype(int):
+                    root = mp.findroot(lambda x: lam(x) - mp.mpf(targets[k]), mp.mpf(t[k]))
+                    worst = max(worst, float(abs(mp.mpf(t[k]) - root) / root))
+        assert worst <= 2.07e-15, worst
+
     def test_work_per_event(self, monkeypatch):
-        # converged events leave the Newton loop: about two evaluations of
-        # the cumulative intensity per event besides the bracket grid
+        # the cumulative intensity (expi) runs on the total and the bracket
+        # grid only; each Newton round evaluates the hazard at the three
+        # Gauss-Legendre nodes and at the iterate, and converged events
+        # leave the loop, so about two rounds per event
         asked = []
+        hazard_elements = []
         real = nhpp.cumulative_intensity
+        real_hazard = nhpp._hazard
 
         def counting(model, params, x1, x2):
             asked.append(np.size(x2))
             return real(model, params, x1, x2)
 
+        def counting_hazard(model, params, t):
+            hazard_elements.append(np.size(t))
+            return real_hazard(model, params, t)
+
         monkeypatch.setattr(nhpp, "cumulative_intensity", counting)
+        monkeypatch.setattr(nhpp, "_hazard", counting_hazard)
         stream = simulate(RH_SQRT, NEAR_PNT, 1e5, seed=6)
-        assert 2049 in asked
-        assert sum(asked) - 2049 <= 3 * len(stream.times)
+        assert sorted(asked) == [1, 2049]
+        assert sum(hazard_elements) <= 2 * 4 * len(stream.times)
 
     def test_unconverged_events_are_loud(self, monkeypatch):
         # a slope 100 times too steep makes every Newton step 1% of the way
-        # to the root, so the round cap is reached with events still moving
+        # to the root, so the round cap is reached with events still moving.
+        # The residual integrates the same hazard, so its increment is
+        # scaled back to keep the root where it was.
         real = nhpp._hazard
+        real_increment = nhpp._log_increment
         monkeypatch.setattr(
             nhpp, "_hazard", lambda model, params, t: 100.0 * real(model, params, t)
         )
+        monkeypatch.setattr(
+            nhpp, "_log_increment", lambda *args: real_increment(*args) / 100.0
+        )
         with pytest.raises(DomainError, match="unconverged"):
             simulate(RH_SQRT, NEAR_PNT, 1e4, seed=3)
+
+    def test_event_ceiling(self):
+        # the expected count is checked before any draw: 1e300 would ask
+        # for an array no machine holds
+        with pytest.raises(ResourceError, match="ceiling"):
+            simulate(RH_SQRT, NEAR_PNT, 1e300, seed=0)
+        big = IntensityParams(NHPP_EVENT_CEILING / Li(1e4) * 1.001, 0.0)
+        with pytest.raises(ResourceError):
+            simulate(RH_SQRT, big, 1e4, seed=0)
 
     def test_mean_count_matches_intensity(self):
         total = cumulative_intensity(RH_SQRT, UNIT, 2.0, 1e5)

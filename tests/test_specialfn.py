@@ -169,6 +169,13 @@ class TestModelTypes:
         with pytest.raises(DomainError):
             IntensityParams(1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_intensity_params_must_be_finite(self, alpha, beta):
+        with pytest.raises(DomainError, match="finite"):
+            IntensityParams(alpha, beta)
+
     def test_density_floor(self):
         assert positive_density_floor(RH_SQRT) == 2
         assert positive_density_floor(rh_eps(0.2)) == 2
