@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .specialfn import (
+    GAUSS_LEGENDRE_3,
     ErrorBoundModel,
     IntensityParams,
     Li,
@@ -51,13 +52,6 @@ NHPP_EVENT_CEILING = 1 << 23
 #: (2.4e-14 for x-over-log at beta = 1).  A bracket cell is one panel up to
 #: horizon 1.6e9.
 _PANEL_WIDTH = 0.01
-
-#: 3-point Gauss-Legendre nodes on [-1, 1] and their weights.
-_GAUSS_LEGENDRE_3 = (
-    (0.0, 8.0 / 9.0),
-    (math.sqrt(0.6), 5.0 / 9.0),
-    (-math.sqrt(0.6), 5.0 / 9.0),
-)
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t, panels
     total = 0.0
     for k in range(panels):
         mid = a + (2 * k + 1) * half
-        for node, weight in _GAUSS_LEGENDRE_3:
+        for node, weight in GAUSS_LEGENDRE_3:
             t_node = np.exp(mid + node * half)
             t_node *= weight * _hazard(model, params, t_node)
             total += t_node

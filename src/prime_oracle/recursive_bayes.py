@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .specialfn import (
+    GAUSS_LEGENDRE_3,
     ErrorBoundModel,
     Li,
     error_density,
@@ -63,6 +63,16 @@ __all__ = [
     "asymptotic_form_table",
     "model_compare_log_ratio",
 ]
+
+
+#: Widest predictive quadrature panel, as a fraction of its left end.
+_PANEL_FRACTION = 0.01
+_GL_NODES, _GL_WEIGHTS = np.array(GAUSS_LEGENDRE_3).T
+
+#: Largest posterior rate, and the reciprocal of the smallest: the variances
+#: divide by ``rate**2``, which overflows (raising) above about 2**512 and
+#: underflows to zero below about 2**-537.
+_RATE_CEILING = 2.0**510
 
 
 class Hyperparameters(NamedTuple):
@@ -191,20 +201,26 @@ class GammaProductMixture(NamedTuple):
         With ``A' = a + Li(t)`` and ``B' = b + F(t)`` this is ``log sum_r w_r
         (A/A')**sa_r (B/B')**sb_r (li(t) sa_r / A' + f(t) sb_r / B')``: each
         component's expected hazard at ``t`` times its survival over
-        ``(t_last, t]``, summed in log space.
+        ``(t_last, t]``, summed in log space.  The gaps ``A' - A`` and
+        ``B' - B`` are integrated over ``[t_last, t]`` by :func:`_gap_rule`, not
+        taken as differences of two rounded values: at ``t`` near 1e6 those
+        lose 1e-10 of a gap between neighbouring primes.
         """
         state = self.state
         t = float(t)
-        if t <= state.t_last:
-            raise DomainError("predictive point must exceed the last prime")
+        if not (state.t_last < t < math.inf):
+            raise DomainError("predictive point must be finite and exceed the last prime")
         c2 = error_density(state.model, t)
         if c2 <= 0.0:
             raise DomainError("error density not positive at the predictive point")
-        ap = state.hyper.a + Li(t)
-        bp = state.hyper.b + error_integral(state.model, t)
+        nodes, weights = _gap_rule(state.t_last, t)
+        gap_a = float(li(nodes) @ weights)
+        gap_b = float(error_density(state.model, nodes) @ weights)
+        ap = state.sum_b1 + gap_a
+        bp = state.sum_b2 + gap_b
         # log(A/A') = -log1p((A' - A)/A): no rounding of log(A) near k log k
-        log_ra = -math.log1p((ap - state.sum_b1) / state.sum_b1)
-        log_rb = -math.log1p((bp - state.sum_b2) / state.sum_b2)
+        log_ra = -math.log1p(gap_a / state.sum_b1)
+        log_rb = -math.log1p(gap_b / state.sum_b2)
         z = (
             self.log_w
             + self.shape_a * log_ra
@@ -216,6 +232,8 @@ class GammaProductMixture(NamedTuple):
 
     def pdf(self, alpha, beta):
         """Density at ``(alpha, beta) > 0``; the two arguments broadcast."""
+        from scipy.special import gammaln
+
         ra, rb = self.state.sum_b1, self.state.sum_b2
         a = np.asarray(alpha, dtype=float)[..., None]
         b = np.asarray(beta, dtype=float)[..., None]
@@ -228,6 +246,26 @@ class GammaProductMixture(NamedTuple):
         return np.exp(log_terms).sum(axis=-1)
 
 
+def _gap_rule(t0: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 3-point Gauss-Legendre in t over ``[t0, t]``.
+
+    The panels are equal in log t and each is at most :data:`_PANEL_FRACTION`
+    of its left end wide.  So a gap of at most 1% of ``t0`` is one panel, of
+    the exact width ``t - t0``, and ``(2, e**80]`` is about 8,000 panels.
+    Against 40-digit mpmath, the four models' integrals over 150 gaps
+    between neighbouring primes from 1e4 to 1e6 come out within 2.2e-16
+    relative for ``li`` and 1.1e-15 for ``f``.  Over wide intervals they come
+    out within 1.5e-15, except for the x-over-log and MT densities from
+    ``t0 = 3``, just above their zeros, which err by up to 1e-14.
+    """
+    log_ratio = math.log1p((t - t0) / t0)
+    panels = math.ceil(log_ratio / math.log1p(_PANEL_FRACTION))
+    edges = t0 * np.exp(np.arange(panels + 1) * (log_ratio / panels))
+    edges[0], edges[-1] = t0, t
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
 def mixture(state: RecursionState, log_c, a0: float, b0: float) -> GammaProductMixture:
     """The posterior whose component r carries coefficient ``exp(log_c[r])``.
 
@@ -236,6 +274,8 @@ def mixture(state: RecursionState, log_c, a0: float, b0: float) -> GammaProductM
     by subtracting their maximum: subtracting their log-sum from each would
     leave the weights summing to 1 only within ``k log k`` ulps.
     """
+    from scipy.special import gammaln
+
     if a0 <= 0.0 or b0 <= 0.0:
         raise DomainError(f"improper posterior component: base shapes {a0}, {b0}")
     ra, rb = state.sum_b1, state.sum_b2
@@ -243,6 +283,11 @@ def mixture(state: RecursionState, log_c, a0: float, b0: float) -> GammaProductM
         raise DomainError(
             "improper posterior: non-positive rate (the accumulated integrals "
             "are empty or negative this close to the support edge)"
+        )
+    if max(ra, rb) > _RATE_CEILING or min(ra, rb) < 1.0 / _RATE_CEILING:
+        raise DomainError(
+            f"posterior rates {ra:g}, {rb:g} lie outside [2**-510, 2**510], "
+            "beyond which their squares leave the float range"
         )
     log_c = np.asarray(log_c, dtype=float)
     r = np.arange(log_c.size, dtype=float)

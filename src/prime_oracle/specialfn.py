@@ -18,6 +18,12 @@ the hunt targets of :mod:`.tmcmc` are all derived from that form.
 
 Every ``F`` handed to callers by :func:`error_integral` is anchored at 2
 (``F(2) == 0``) so that stage sums over consecutive primes telescope exactly.
+``Li`` is anchored the same way, at scipy's own ``expi(log 2)``.
+
+:func:`Li` is the one function here that needs scipy.  It imports
+``scipy.special.expi`` on first use, so importing the package (and the CLI)
+loads numpy and the standard library only, and the commands that never
+evaluate ``Li`` start without scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expi
 
 from .errors import DomainError
 
@@ -48,13 +53,22 @@ __all__ = [
     "error_density",
     "positive_density_floor",
     "MT_DECAY_CONSTANT",
+    "GAUSS_LEGENDRE_3",
 ]
 
 #: Denominator inside the MT exponential decay term.
 MT_DECAY_CONSTANT = 6.315
 
+#: 3-point Gauss-Legendre nodes on [-1, 1] and their weights, the rule by
+#: which :mod:`.nhpp` and the predictive of :mod:`.recursive_bayes` integrate
+#: the densities over short panels.
+GAUSS_LEGENDRE_3 = (
+    (0.0, 8.0 / 9.0),
+    (math.sqrt(0.6), 5.0 / 9.0),
+    (-math.sqrt(0.6), 5.0 / 9.0),
+)
+
 _LOG2 = math.log(2.0)
-_EXPI_LOG2 = float(expi(_LOG2))
 _E = math.e
 
 
@@ -169,9 +183,15 @@ def Li(x):
 
     Evaluated through the exponential integral, ``Ei(log x) - Ei(log 2)``,
     which agrees with adaptive quadrature to well below 1e-10 relative.
+    scipy's ``expi`` is imported on first use, and the anchor is its own
+    ``expi(log 2)``, computed in the call: it is two ulps below the correctly
+    rounded value, and only the same rounding on both sides keeps
+    ``Li(2) == 0`` exactly.
     """
+    from scipy.special import expi
+
     arr = _check_min(x, 2.0, strict=False, what="Li")
-    return _ret(x, expi(np.log(arr)) - _EXPI_LOG2)
+    return _ret(x, expi(np.log(arr)) - expi(_LOG2))
 
 
 def error_forms(model: ErrorBoundModel) -> tuple[Callable, Callable]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gauss_legendre import box_integrals
@@ -39,6 +41,66 @@ def folded_states(model, primes, hyper):
         sum_b2 += error_integral(model, t) - error_integral(model, prev)
         prev = t
         yield rb.RecursionState(k, hyper, sum_b1, sum_b2, t, model)
+
+
+def mp_forms(mp, model):
+    """``(F_raw, f)`` of the RH_SQRT or MT closed form in mpmath."""
+    decay = mp.mpf(MT_DECAY_CONSTANT)
+
+    def F_raw(x):
+        lg = mp.log(x)
+        if model is RH_SQRT:
+            return mp.sqrt(x) * lg
+        return x * lg ** mp.mpf(-0.75) * mp.exp(-mp.sqrt(lg / decay))
+
+    def f(x):
+        lg = mp.log(x)
+        if model is RH_SQRT:
+            return (lg / 2 + 1) / mp.sqrt(x)
+        return F_raw(x) * (1 - mp.mpf(0.75) / lg - 1 / (2 * mp.sqrt(decay * lg))) / x
+
+    return F_raw, f
+
+
+def mp_log_predictive(mp, model, k, t_k, t):
+    """The flat-prior stage-k log predictive at ``t``, every input exact.
+
+    The four gamma-ratio terms of the predictive over the two terms of its
+    normalizer, with ``Li`` from ``mp.ei`` and ``F``, ``f`` from the closed
+    forms, so no float rate or gap enters.
+    """
+    F_raw, f = mp_forms(mp, model)
+    t_k, t = mp.mpf(t_k), mp.mpf(t)
+    two = mp.mpf(2)
+
+    def Li(x):
+        return mp.ei(mp.log(x)) - mp.ei(mp.log(two))
+
+    a, b = Li(t_k), F_raw(t_k) - F_raw(two)
+    ap, bp = Li(t), F_raw(t) - F_raw(two)
+    c1, c2, n1, n2 = 1 / mp.log(t_k), f(t_k), 1 / mp.log(t), f(t)
+
+    def log_term(c, sa, sb, ra, rb_):
+        # log of c * Gamma(sa) / ra**sa * Gamma(sb) / rb_**sb
+        return (
+            mp.log(c) + mp.loggamma(sa) - sa * mp.log(ra)
+            + mp.loggamma(sb) - sb * mp.log(rb_)
+        )
+
+    num = [
+        log_term(n1 * c1, k + 2, k, ap, bp),
+        log_term(n2 * c1, k + 1, k + 1, ap, bp),
+        log_term(n1 * c2, k + 1, k + 1, ap, bp),
+        log_term(n2 * c2, k, k + 2, ap, bp),
+    ]
+    den = [log_term(c1, k + 1, k, a, b), log_term(c2, k, k + 1, a, b)]
+    top, bot = max(num), max(den)
+    return (
+        top
+        + mp.log(mp.fsum(mp.exp(x - top) for x in num))
+        - bot
+        - mp.log(mp.fsum(mp.exp(x - bot) for x in den))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +199,15 @@ class TestPosterior:
         with pytest.raises(DomainError):
             rb.posterior(s)
 
+    def test_extreme_rates_refused(self):
+        # rate**2 in the variances underflows to 0 (ZeroDivisionError) at
+        # the first rate and overflows (OverflowError) at the second
+        tiny_b = rb.state_at(Hyperparameters(1.0, 1e-200, 1.0, 1.0), RH_SQRT, 1, 2.0)
+        huge_f = rb.state_at(FLAT, X_OVER_LOG, 5, 1e160)
+        for state in (tiny_b, huge_f):
+            with pytest.raises(DomainError, match="float range"):
+                rb.posterior(state)
+
     def test_improper_when_shape_zero(self):
         s = rb.init(Hyperparameters(a=1.0, b=1.0, gamma=0.0, xi=1.0), RH_SQRT, 3)
         with pytest.raises(DomainError):
@@ -185,6 +256,32 @@ class TestMoments:
         assert rb.posterior_var_alpha(state) == pytest.approx(maa - ma**2, rel=1e-10)
         assert rb.posterior_var_beta(state) == pytest.approx(mbb - mb**2, rel=1e-10)
 
+    @given(
+        model=st.sampled_from(ALL_MODELS),
+        k=st.integers(min_value=1, max_value=10**7),
+        t_k=st.floats(min_value=2.0, max_value=1e12),
+        hyper=st.tuples(*[st.floats(min_value=0.0, max_value=100.0)] * 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_means_bounded_by_count_and_rates(self, model, k, t_k, hyper):
+        # the stage-k shapes are gamma+k-1 and gamma+k for alpha (xi+k-1 and
+        # xi+k for beta) whatever the primes, so each mean is a shape between
+        # those over its rate: the beta trajectory is pi(x) / F(x) up to
+        # O(1/k); the weights sum to 1 within an ulp, hence the 1e-15 slack
+        hyper = Hyperparameters(*hyper)
+        assume(t_k >= positive_density_floor(model))
+        assume(min(hyper.gamma, hyper.xi) + k - 1 > 0)
+        state = rb.state_at(hyper, model, k, t_k)
+        # outside this range the posterior is refused, see test_extreme_rates_refused
+        assume(all(2.0**-510 <= r <= 2.0**510 for r in (state.sum_b1, state.sum_b2)))
+        m = rb.posterior(state).moments()
+        for mean, offset, rate in (
+            (m.mean_alpha, hyper.gamma, hyper.a + Li(t_k)),
+            (m.mean_beta, hyper.xi, hyper.b + error_integral(model, t_k)),
+        ):
+            lo, hi = (offset + k - 1) / rate, (offset + k) / rate
+            assert lo * (1 - 1e-15) <= mean <= hi * (1 + 1e-15)
+
     def test_million_scale_alpha(self, primes_2e6):
         primes = primes_2e6.primes[primes_2e6.primes <= 10**6]
         s = rb.state_at(FLAT, RH_SQRT, len(primes), int(primes[-1]))
@@ -201,19 +298,8 @@ class TestMoments:
         [row] = rb.trajectory(model, primes_2e6.primes, FLAT, [10**6])
         with mp.workdps(40):
             t, k = mp.mpf(row.t_last), row.k
-            decay = mp.mpf(MT_DECAY_CONSTANT)
-
-            def F_raw(x):
-                lg = mp.log(x)
-                if model is RH_SQRT:
-                    return mp.sqrt(x) * lg
-                return x * lg ** mp.mpf(-0.75) * mp.exp(-mp.sqrt(lg / decay))
-
-            lg = mp.log(t)
-            if model is RH_SQRT:
-                f = (lg / 2 + 1) / mp.sqrt(t)
-            else:
-                f = F_raw(t) * (1 - mp.mpf(0.75) / lg - 1 / (2 * mp.sqrt(decay * lg))) / t
+            F_raw, density = mp_forms(mp, model)
+            lg, f = mp.log(t), density(t)
             rate_a = mp.ei(lg) - mp.ei(mp.log(2))
             rate_b = F_raw(t) - F_raw(mp.mpf(2))
             log_a, log_b = mp.log(rate_a), mp.log(rate_b)
@@ -243,45 +329,33 @@ class TestMoments:
 class TestPredictive:
     @pytest.mark.parametrize("model", [RH_SQRT, MT], ids=lambda m: m.label)
     def test_million_scale_matches_mpmath(self, model, primes_2e6):
-        # the four gamma-ratio terms of the stage-k predictive over the two
-        # terms of its normalizer, in 50-digit arithmetic from the same Li,
-        # F, li and f values; the terms are of order k log k ~ 1e6, where one
-        # ulp is 1.2e-10
+        # against a 50-digit evaluation with every input exact: the gaps
+        # Li(t) - Li(t_k) and F(t) - F(t_k) across one prime gap near 1e6 are
+        # integrated, since as differences of two rounded values they lose
+        # 1e-10 relative (rh-sqrt: log predictive off by 1.9e-10 that way;
+        # measured now: 1e-15 for both models)
         mp = pytest.importorskip("mpmath")
         k = 78_497
         primes = [int(p) for p in primes_2e6.primes[positive_density_floor(model) - 2 :]]
         t_k, t = float(primes[k - 1]), float(primes[k])
         assert t_k == (999_979.0 if model is RH_SQRT else 999_983.0)
-        state = rb.state_at(FLAT, model, k, t_k)
-        got = rb.log_posterior_predictive(state, t)
+        got = rb.log_posterior_predictive(rb.state_at(FLAT, model, k, t_k), t)
         with mp.workdps(50):
-            a, b = mp.mpf(state.sum_b1), mp.mpf(state.sum_b2)
-            ap, bp = mp.mpf(Li(t)), mp.mpf(error_integral(model, t))
-            c1, c2 = mp.mpf(li(t_k)), mp.mpf(error_density(model, t_k))
-            n1, n2 = mp.mpf(li(t)), mp.mpf(error_density(model, t))
+            expected = mp_log_predictive(mp, model, k, t_k, t)
+        assert got == pytest.approx(float(expected), rel=0, abs=1e-13)
 
-            def log_term(c, sa, sb, ra, rb_):
-                # log of c * Gamma(sa) / ra**sa * Gamma(sb) / rb_**sb
-                return (
-                    mp.log(c) + mp.loggamma(sa) - sa * mp.log(ra)
-                    + mp.loggamma(sb) - sb * mp.log(rb_)
-                )
-
-            num = [
-                log_term(n1 * c1, k + 2, k, ap, bp),
-                log_term(n2 * c1, k + 1, k + 1, ap, bp),
-                log_term(n1 * c2, k + 1, k + 1, ap, bp),
-                log_term(n2 * c2, k, k + 2, ap, bp),
-            ]
-            den = [log_term(c1, k + 1, k, a, b), log_term(c2, k, k + 1, a, b)]
-            top, bot = max(num), max(den)
-            expected = (
-                top
-                + mp.log(mp.fsum(mp.exp(x - top) for x in num))
-                - bot
-                - mp.log(mp.fsum(mp.exp(x - bot) for x in den))
-            )
-        assert got == pytest.approx(float(expected), rel=0, abs=1e-11)
+    @pytest.mark.parametrize(
+        "k, t_k, t", [(2, 3.0, 5.0), (78_497, 999_979.0, 2e6)], ids=["3-5", "1e6-2e6"]
+    )
+    def test_wide_intervals_match_mpmath(self, k, t_k, t):
+        # many quadrature panels: 51 from 3 to 5, 70 from 999,979 to 2e6;
+        # the second value is -81,262, where 1e-14 relative is 55 ulps
+        # (measured: 2.5e-15 absolute and 4 ulps)
+        mp = pytest.importorskip("mpmath")
+        got = rb.log_posterior_predictive(rb.state_at(FLAT, RH_SQRT, k, t_k), t)
+        with mp.workdps(50):
+            expected = mp_log_predictive(mp, RH_SQRT, k, t_k, t)
+        assert got == pytest.approx(float(expected), rel=1e-14, abs=1e-14)
 
     def test_matches_posterior_integral(self, state_k5):
         tk = state_k5.t_last
