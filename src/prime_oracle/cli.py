@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -285,7 +286,14 @@ def _cmd_ll_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    ``parse_args`` does not change it (each call fills a fresh namespace, and
+    help is formatted at the terminal width in force when it prints), so one
+    tree serves every ``main`` call instead of rebuilding it per command.
+    """
     parser = argparse.ArgumentParser(
         prog="prime-oracle",
         description="Poisson-process prime modelling, Bayesian diagnostics and TMCMC prime hunting.",

@@ -127,7 +127,7 @@ def state_at(
     """
     hyper = _checked_hyper(hyper)
     t_k = float(t_k)
-    if t_k < 2.0:
+    if not t_k >= 2.0:  # also refuses NaN
         raise DomainError(f"primes must be >= 2, got {t_k}")
     if k < 1:
         raise DomainError(f"stage count must be >= 1, got {k}")
@@ -360,13 +360,16 @@ def trajectory(
     row is evaluated in closed form from its stage count and last prime.
     """
     ts = np.asarray(primes, dtype=float)
+    cps = np.sort(np.asarray(checkpoints, dtype=float))
+    # NaN would be dropped by the floor filter, or sort last among checkpoints
+    if np.isnan(ts).any() or np.isnan(cps).any():
+        raise DomainError("primes and checkpoints must not be NaN")
     ts = ts[ts >= positive_density_floor(model)]
     if ts.size == 0:
         return []
     hyper = _checked_hyper(hyper)
     if np.any(np.diff(ts) <= 0.0):
         raise DomainError("primes must be strictly increasing")
-    cps = np.sort(np.asarray(checkpoints, dtype=float))
     rows: list[TrajectoryRow] = []
     for k in np.searchsorted(ts, cps, side="right").tolist():
         if k == 0:

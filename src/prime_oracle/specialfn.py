@@ -157,17 +157,19 @@ class IntensityParams:
 
 
 def _check_min(x, lo: float, *, strict: bool, what: str):
+    """``x`` as a float array, refused unless every entry is above ``lo`` (or at
+    it, unless ``strict``); NaN fails both comparisons, so it is refused too."""
     arr = np.asarray(x, dtype=float)
-    bad = (arr <= lo) if strict else (arr < lo)
-    if np.any(bad):
+    ok = (arr > lo) if strict else (arr >= lo)
+    if not ok.all():
         op = ">" if strict else ">="
         raise DomainError(f"{what} requires x {op} {lo:g}")
     return arr
 
 
-def _ret(x_in, value):
-    """Return a float for scalar input, an ndarray otherwise."""
-    if np.ndim(x_in) == 0:
+def _ret(arr: np.ndarray, value):
+    """Return a float for a 0-d ``arr``, the ndarray ``value`` otherwise."""
+    if arr.ndim == 0:
         return float(value)
     return value
 
@@ -175,7 +177,7 @@ def _ret(x_in, value):
 def li(x):
     """Reciprocal-log density ``1 / log(x)`` for ``x > 1``."""
     arr = _check_min(x, 1.0, strict=True, what="li")
-    return _ret(x, 1.0 / np.log(arr))
+    return _ret(arr, 1.0 / np.log(arr))
 
 
 def Li(x):
@@ -191,7 +193,7 @@ def Li(x):
     from scipy.special import expi
 
     arr = _check_min(x, 2.0, strict=False, what="Li")
-    return _ret(x, expi(np.log(arr)) - expi(_LOG2))
+    return _ret(arr, expi(np.log(arr)) - expi(_LOG2))
 
 
 def error_forms(model: ErrorBoundModel) -> tuple[Callable, Callable]:
@@ -231,14 +233,14 @@ def error_integral_raw(model: ErrorBoundModel, x):
     Valid for ``x > 1``; prefer :func:`error_integral` in anything that sums
     stage contributions, which is anchored so ``F(2) == 0``.
     """
-    _, lg, llg = _logs(x, 1.0, strict=True, what="error_integral_raw")
-    return _ret(x, np.exp(error_forms(model)[0](lg, llg)))
+    arr, lg, llg = _logs(x, 1.0, strict=True, what="error_integral_raw")
+    return _ret(arr, np.exp(error_forms(model)[0](lg, llg)))
 
 
 def error_integral(model: ErrorBoundModel, x):
     """``F(x) - F(2)`` for ``x >= 2`` (anchored so stage sums telescope)."""
     arr = _check_min(x, 2.0, strict=False, what="error_integral")
-    return _ret(x, error_integral_raw(model, arr) - error_integral_raw(model, 2.0))
+    return _ret(arr, error_integral_raw(model, arr) - error_integral_raw(model, 2.0))
 
 
 def error_density(model: ErrorBoundModel, x):
@@ -251,12 +253,12 @@ def error_density(model: ErrorBoundModel, x):
     at which each density is safe to use as a mixture coefficient.
     """
     arr, lg, llg = _logs(x, 2.0, strict=False, what="error_density")
-    if model.variant is Variant.X_OVER_LOG and np.any(arr <= _E):
+    if model.variant is Variant.X_OVER_LOG and (arr <= _E).any():
         raise DomainError("X_OVER_LOG density is not positive below e")
     log_raw, elasticity = error_forms(model)
     # (F_raw / x) * elasticity: taking the exp of log F_raw - log x keeps f(2)
     # correctly rounded for RH_SQRT, where exp(log F_raw) * e / x is 1.2 ulp off
-    return _ret(x, np.exp(log_raw(lg, llg) - lg) * elasticity(lg))
+    return _ret(arr, np.exp(log_raw(lg, llg) - lg) * elasticity(lg))
 
 
 def positive_density_floor(model: ErrorBoundModel) -> int:

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from prime_oracle.cli import _read_config_file, main
+from prime_oracle.cli import _read_config_file, build_parser, main
 from prime_oracle.pipeline import FILE_HEADER, load_records
 
 
@@ -269,3 +269,93 @@ class TestConfigFile:
             assert _read_config_file(str(cfg)) == {"add_scale": 0.9}
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser built once per process."""
+
+    @staticmethod
+    def run(argv, tmp_path, capsys):
+        """Exit code, stdout and --out file of one ``main`` call; the file is then removed."""
+        code = main([a.format(d=tmp_path) for a in argv])
+        out = tmp_path / "second.out"
+        written = out.read_text() if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return code, capsys.readouterr().out, written
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                ["diagnose", "--model", "mt", "--limit", "3000", "--hyper", "1,1,1,1",
+                 "--out", "{d}/first.out"],
+                ["diagnose", "--model", "mt", "--limit", "3000", "--out", "{d}/second.out"],
+            ),
+            (
+                ["simulate-nhpp", "--horizon", "3000", "--seed", "5", "--beta", "0.5",
+                 "--out", "{d}/first.out"],
+                ["simulate-nhpp", "--horizon", "3000", "--out", "{d}/second.out"],
+            ),
+            (
+                ["mersenne", "--p0", "1000037", "--burnin", "500", "--keep", "500",
+                 "--trial-factor-bits", "24", "--p-add", "0.5", "--p-mult", "0.5", "--seed", "1",
+                 "--out", "{d}/first.out"],
+                ["mersenne", "--from-results", "{d}/general.jsonl", "--burnin", "500",
+                 "--keep", "500", "--out", "{d}/second.out"],
+            ),
+            (
+                ["mersenne", "--from-results", "{d}/general.jsonl", "--burnin", "500",
+                 "--keep", "500", "--out", "{d}/first.out"],
+                ["mersenne", "--p0", "1000033", "--burnin", "500", "--keep", "500",
+                 "--out", "{d}/second.out"],
+            ),
+        ],
+        ids=["diagnose-hyper", "simulate-nhpp-seed-beta", "mersenne-p0-then-results",
+             "mersenne-results-then-p0"],
+    )
+    def test_no_state_carried_between_calls(self, first, second, tmp_path, capsys):
+        (tmp_path / "general.jsonl").write_text(
+            FILE_HEADER + '\n{"digit_count": null, "iteration_found": 534, "k": 87846, '
+            '"kind": "general-prime", "p0": 1000033, "seed": 42, '
+            '"target_kind": "general-h1", "value": 1000037}\n'
+        )
+        assert self.run(first, tmp_path, capsys)[0] == 0
+        after_first = self.run(second, tmp_path, capsys)
+        build_parser.cache_clear()
+        alone = self.run(second, tmp_path, capsys)
+        assert alone[0] == 0 and alone[2] is not None
+        assert after_first == alone
+
+    def test_usage_error_after_successful_calls(self, capsys):
+        for _ in range(2):
+            assert main(["ll-check", "--max-exponent", "31"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["ll-check"])
+        assert exc.value.code == 2
+        assert "--max-exponent" in capsys.readouterr().err
+        assert main(["ll-check", "--max-exponent", "31"]) == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["diagnose", "--help"]], ids=["top", "diagnose"])
+    def test_help_wraps_to_columns_when_printed(self, argv, monkeypatch, capsys):
+        def help_at(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        build_parser.cache_clear()
+        wide = help_at(200)  # the parser is built at this width
+        narrow = help_at(50)
+        build_parser.cache_clear()
+        assert narrow == help_at(50)
+        assert narrow != wide
+        assert max(map(len, wide.splitlines())) > 50
+
+    def test_parser_built_once(self, capsys):
+        build_parser.cache_clear()
+        for argv in (["ll-check", "--max-exponent", "31"], ["ll-check", "--max-exponent", "61"],
+                     ["diagnose", "--model", "zeta", "--limit", "100"]):
+            main(argv)
+        assert build_parser.cache_info().misses == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,35 @@ class TestBuild:
     def test_rejects_unordered(self):
         with pytest.raises(DomainError):
             nb.build([5, 3], FLAT, RH_SQRT)
+
+    @pytest.mark.parametrize(
+        "primes",
+        [[2, 3, math.nan], [math.nan, 3, 5], [2, math.nan, 5], [2, 3, math.inf]],
+        ids=["nan-last", "nan-first", "nan-middle", "inf-last"],
+    )
+    @pytest.mark.parametrize("engine", ["build", "equivalence_report"])
+    def test_rejects_non_finite_prime(self, engine, primes):
+        with pytest.raises(DomainError, match="primes must be finite, ascending and >= 2"):
+            if engine == "build":
+                nb.build(primes, PROPER, RH_SQRT)
+            else:
+                nb.equivalence_report(primes, PROPER, [3], RH_SQRT)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (MT, "error density not positive at prime 2; drop leading primes"),
+            (X_OVER_LOG, "X_OVER_LOG density is not positive below e"),
+        ],
+        ids=["mt", "x-over-log"],
+    )
+    @pytest.mark.parametrize("engine", ["build", "equivalence_report"])
+    def test_density_refusal_message(self, engine, model, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            if engine == "build":
+                nb.build([2, 3, 5, 7], PROPER, model)
+            else:
+                nb.equivalence_report([2, 3, 5, 7], PROPER, [2, 4], model)
 
     def test_rejects_zero_shape(self):
         with pytest.raises(DomainError):

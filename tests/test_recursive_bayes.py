@@ -163,6 +163,11 @@ class TestInitUpdate:
         with pytest.raises(DomainError):
             rb.init(FLAT, RH_SQRT, 1.5)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+    def test_state_at_rejects_nan_prime(self, model):
+        with pytest.raises(DomainError, match="primes must be >= 2, got nan"):
+            rb.state_at(Hyperparameters(1.0, 1.0, 1.0, 1.0), model, 5, math.nan)
+
     def test_rejects_negative_hyper(self):
         with pytest.raises(DomainError):
             rb.init(Hyperparameters(a=-1.0), RH_SQRT, 2)
@@ -459,6 +464,15 @@ class TestTrajectory:
     def test_rejects_non_increasing(self, primes):
         with pytest.raises(DomainError):
             rb.trajectory(RH_SQRT, primes, FLAT, [100])
+
+    @pytest.mark.parametrize(
+        "primes, checkpoints",
+        [([2, 3, math.nan, 7], [10]), ([math.nan, 3, 5], [10]), ([2, 3, 5, 7], [5, math.nan])],
+        ids=["nan-prime", "nan-first-prime", "nan-checkpoint"],
+    )
+    def test_rejects_nan(self, primes, checkpoints):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            rb.trajectory(RH_SQRT, primes, FLAT, checkpoints)
 
     @pytest.mark.parametrize("checkpoints", [[100], [1.0]])
     def test_rejects_negative_hyper(self, checkpoints, primes_small):

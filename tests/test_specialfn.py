@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,12 +18,20 @@ from prime_oracle.specialfn import (
     Variant,
     error_density,
     error_integral,
+    error_integral_raw,
     li,
     positive_density_floor,
     rh_eps,
 )
 
 ALL_MODELS = [RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT]
+
+#: Every public function of x, each error function once per model.
+FUNCTIONS_OF_X = [("li", li), ("Li", Li)] + [
+    (f"{fn.__name__}-{model.label}", functools.partial(fn, model))
+    for fn in (error_integral_raw, error_integral, error_density)
+    for model in ALL_MODELS
+]
 
 
 def li_quadrature(x: float) -> float:
@@ -75,6 +84,13 @@ class TestLi:
         out = Li(xs)
         assert out.shape == xs.shape
         assert out[0] == 0.0
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([10.0, math.nan, 20.0])], ids=["scalar", "array"])
+@pytest.mark.parametrize("fn", [f for _, f in FUNCTIONS_OF_X], ids=[n for n, _ in FUNCTIONS_OF_X])
+def test_nan_refused(fn, x):
+    with pytest.raises(DomainError, match="requires x"):
+        fn(x)
 
 
 class TestErrorIntegral:
