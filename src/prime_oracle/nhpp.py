@@ -16,12 +16,13 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .specialfn import (
     GAUSS_LEGENDRE_3,
+    PANEL_WIDTH,
     ErrorBoundModel,
     IntensityParams,
     Li,
-    error_forms,
     error_integral,
     li,
+    signed_density,
 )
 
 __all__ = [
@@ -38,20 +39,10 @@ __all__ = [
 
 #: Largest expected event count ``Lambda((2, horizon])`` that :func:`simulate`
 #: will draw.  One draw peaks near 129 bytes per event (``ru_maxrss``,
-#: rh-sqrt at 1e7), so 2**23 events take about 1.1 GB.  At alpha = 1,
-#: beta = 0 the ceiling falls at horizon 1.49e8, whose bracket cells are
-#: 0.0089 wide in log t: one panel each, on which the 3-point rule errs by at
-#: most 7.7e-16 of the increment (on the cell at t = 2; 2e-19 on the cell at
-#: the horizon).  A smaller alpha admits wider cells, which are split into
-#: panels of at most :data:`_PANEL_WIDTH`.
+#: rh-sqrt at 1e7), so 2**23 events take about 1.1 GB; at alpha = 1,
+#: beta = 0 that is horizon 1.49e8.  The bracket grid needs no ceiling: its
+#: cells are :data:`.PANEL_WIDTH` in log t, 69,009 at horizon 1e300.
 NHPP_EVENT_CEILING = 1 << 23
-
-#: Widest Gauss-Legendre panel in log t.  The 3-point rule errs by about
-#: ``5e-7 * h**6`` of a panel's increment (4e-19 here).  On the panel at
-#: t = 2, where the hazard bends hardest, it errs by 1.5e-15 at beta <= 0.01
-#: (2.4e-14 for x-over-log at beta = 1).  A bracket cell is one panel up to
-#: horizon 1.6e9.
-_PANEL_WIDTH = 0.01
 
 
 @dataclass(frozen=True)
@@ -85,18 +76,15 @@ def cumulative_intensity(
 
 
 def _hazard(model: ErrorBoundModel, params: IntensityParams, t):
-    """``alpha*li(t) + beta*f(t)`` with the signed density ``f`` of :func:`error_forms`.
+    """``alpha*li(t) + beta*f(t)`` with the signed ``f`` of :func:`.signed_density`.
 
-    ``error_density`` refuses ``X_OVER_LOG`` below ``e``, where f < 0,
-    because a posterior coefficient must be positive.  The process only
-    needs the whole intensity to be positive, which ``simulate`` checks on
-    its grid.
+    Unlike a posterior coefficient, ``f`` may be negative here (below ``e``
+    for ``X_OVER_LOG``): the process needs only the whole intensity to be
+    positive, which ``simulate`` checks on its grid.
     """
     lam = params.alpha * li(t)
     if params.beta != 0.0:
-        log_raw, elasticity = error_forms(model)
-        lg = np.log(t)
-        lam = lam + params.beta * np.exp(log_raw(lg, np.log(lg)) - lg) * elasticity(lg)
+        lam = lam + params.beta * signed_density(model, np.log(t))
     return lam
 
 
@@ -131,12 +119,13 @@ def _draw_targets(rng: np.random.Generator, total: float) -> np.ndarray:
     return sums[sums <= total]
 
 
-def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t, panels: int):
+def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t):
     """``Lambda((e^a, t])`` as ``integral_a^{log t} hazard(e^s) e^s ds``.
 
-    3-point Gauss-Legendre on ``panels`` equal panels, exact for quintics in
-    ``s``; :data:`_PANEL_WIDTH` bounds its error.  The nodes are added one at
-    a time, so the rule holds one node's array at once.
+    One 3-point Gauss-Legendre panel, exact for quintics in ``s``; ``t`` lies
+    in the bracket cell that opens at ``e^a``, so the panel is at most
+    :data:`.PANEL_WIDTH` wide, which bounds the rule's error.  The nodes are
+    added one at a time, so the rule holds one node's array at once.
     """
     # log(t / e^a), not log(t) - a: the ratio lies within a cell of 1, so
     # rounding it costs an ulp of t, where rounding log t costs an ulp of
@@ -144,14 +133,13 @@ def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t, panels
     half = np.exp(a)
     np.divide(t, half, out=half)
     np.log(half, out=half)
-    half *= 0.5 / panels
+    half *= 0.5
+    mid = a + half
     total = 0.0
-    for k in range(panels):
-        mid = a + (2 * k + 1) * half
-        for node, weight in GAUSS_LEGENDRE_3:
-            t_node = np.exp(mid + node * half)
-            t_node *= weight * _hazard(model, params, t_node)
-            total += t_node
+    for node, weight in GAUSS_LEGENDRE_3:
+        t_node = np.exp(mid + node * half)
+        t_node *= weight * _hazard(model, params, t_node)
+        total += t_node
     total *= half
     return total
 
@@ -163,18 +151,19 @@ def simulate(
 
     Unit-rate exponential arrival sums are mapped through the inverse of the
     cumulative intensity.  The inverse is found per event by bracketed
-    Newton iteration: a monotone grid of 2049 points, even in log t, supplies
-    the bracket and the starting point.  Each round evaluates only the events
-    still active, and evaluates no log-integral: the residual is the grid's
-    cumulative intensity at the point that opens the event's first bracket
-    plus the increment from there by :func:`_log_increment`, and the slope
-    is :func:`_hazard`: four hazard evaluations per event per round where a
-    bracket cell is one panel.  An
-    event converges when its Newton step is at most 1e-9 relative in t; that
-    last step is taken (even onto a bracket end) and the event leaves the
-    active set.  An active event whose step leaves its bracket is bisected
-    instead.  Events still active after 60 rounds raise :class:`DomainError`
-    rather than return unconverged.
+    Newton iteration: a monotone grid even in log t, of
+    ``ceil(log(horizon / 2) / PANEL_WIDTH)`` cells (1314 points at 1e6),
+    supplies the bracket and the starting point.  Each round evaluates only
+    the events still active, and evaluates no log-integral: the residual is
+    the grid's cumulative intensity at the point that opens the event's
+    first bracket plus the one-panel increment from there by
+    :func:`_log_increment`, and the slope is :func:`_hazard`: four hazard
+    evaluations per event per round.  An event converges when
+    its Newton step is at most 1e-9 relative in t; that last step is taken
+    (even onto a bracket end) and the event leaves the active set.  An active
+    event whose step leaves its bracket is bisected instead.  Events still
+    active after 60 rounds raise :class:`DomainError` rather than return
+    unconverged.
 
     An expected count ``Lambda((2, horizon])`` above :data:`NHPP_EVENT_CEILING`
     raises :class:`ResourceError` before any draw.
@@ -191,9 +180,10 @@ def simulate(
     if len(targets) == 0:
         return EventStream(np.empty(0), model, params, int(seed), float(horizon))
 
-    # Monotone bracket grid in log-t; fine enough that Newton converges in a
-    # couple of steps from the interpolated start.
-    grid_log_t = np.linspace(math.log(2.0), math.log(horizon), 2049)
+    # Monotone bracket grid in log-t, one Gauss-Legendre panel per cell; fine
+    # enough that Newton converges in two steps from the interpolated start.
+    cells = math.ceil(math.log(horizon / 2.0) / PANEL_WIDTH)
+    grid_log_t = np.linspace(math.log(2.0), math.log(horizon), cells + 1)
     grid_t = np.exp(grid_log_t)
     grid_t[0], grid_t[-1] = 2.0, horizon
     grid_lam = np.asarray(cumulative_intensity(model, params, 2.0, grid_t))
@@ -205,7 +195,6 @@ def simulate(
     # grid_lam[j] is Lambda at e**anchors[j]: Li and F take this same log of
     # the grid as set (an ulp off grid_log_t at a few points)
     anchors = np.log(grid_t)
-    panels = math.ceil((grid_log_t[1] - grid_log_t[0]) / _PANEL_WIDTH)
 
     idx = np.clip(np.searchsorted(grid_lam, targets, side="right") - 1, 0, len(grid_t) - 2)
     lo = grid_t[idx]
@@ -219,7 +208,7 @@ def simulate(
     active = np.arange(len(t))
     for _ in range(60):
         ta = t[active]
-        resid = _log_increment(model, params, anchors[idx[active]], ta, panels) - rest[active]
+        resid = _log_increment(model, params, anchors[idx[active]], ta) - rest[active]
         lo_a = np.where(resid < 0.0, ta, lo[active])
         hi_a = np.where(resid >= 0.0, ta, hi[active])
         step = resid / _hazard(model, params, ta)

@@ -14,7 +14,8 @@ integrals selected by :class:`ErrorBoundModel`:
 Each model is defined once, in :func:`error_forms`, as ``log F_raw`` and the
 elasticity ``x f / F_raw`` written in ``log x`` and ``log log x``.  The array
 and scalar functions here (``F``, ``f`` and the positive-density floor) and
-the hunt targets of :mod:`.tmcmc` are all derived from that form.
+the hunt targets of :mod:`.tmcmc` are all derived from that form; ``f``
+itself, with its sign, is :func:`signed_density`.
 
 Every ``F`` handed to callers by :func:`error_integral` is anchored at 2
 (``F(2) == 0``) so that stage sums over consecutive primes telescope exactly.
@@ -54,6 +55,8 @@ __all__ = [
     "positive_density_floor",
     "MT_DECAY_CONSTANT",
     "GAUSS_LEGENDRE_3",
+    "PANEL_WIDTH",
+    "signed_density",
 ]
 
 #: Denominator inside the MT exponential decay term.
@@ -61,12 +64,17 @@ MT_DECAY_CONSTANT = 6.315
 
 #: 3-point Gauss-Legendre nodes on [-1, 1] and their weights, the rule by
 #: which :mod:`.nhpp` and the predictive of :mod:`.recursive_bayes` integrate
-#: the densities over short panels.
+#: the densities over panels of at most :data:`PANEL_WIDTH`.
 GAUSS_LEGENDRE_3 = (
     (0.0, 8.0 / 9.0),
     (math.sqrt(0.6), 5.0 / 9.0),
     (-math.sqrt(0.6), 5.0 / 9.0),
 )
+
+#: Widest panel in log t: the 3-point rule errs by about ``5e-7 * h**6`` of a
+#: panel's increment (4e-19), and on the NHPP panel at t = 2 by 1.5e-15 at
+#: beta <= 0.01 (2.4e-14 for x-over-log at beta = 1).
+PANEL_WIDTH = 0.01
 
 _LOG2 = math.log(2.0)
 _E = math.e
@@ -157,13 +165,14 @@ class IntensityParams:
 
 
 def _check_min(x, lo: float, *, strict: bool, what: str):
-    """``x`` as a float array, refused unless every entry is above ``lo`` (or at
-    it, unless ``strict``); NaN fails both comparisons, so it is refused too."""
+    """``x`` as a float array, refused unless every entry is finite and above
+    ``lo`` (or at it, unless ``strict``); NaN fails every comparison."""
     arr = np.asarray(x, dtype=float)
     ok = (arr > lo) if strict else (arr >= lo)
+    ok &= arr < math.inf
     if not ok.all():
         op = ">" if strict else ">="
-        raise DomainError(f"{what} requires x {op} {lo:g}")
+        raise DomainError(f"{what} requires x {op} {lo:g} and finite")
     return arr
 
 
@@ -220,27 +229,29 @@ def error_forms(model: ErrorBoundModel) -> tuple[Callable, Callable]:
     )
 
 
-def _logs(x, lo: float, *, strict: bool, what: str):
-    """``(x, log x, log log x)`` as arrays, after the domain check."""
-    arr = _check_min(x, lo, strict=strict, what=what)
-    lg = np.log(arr)
-    return arr, lg, np.log(lg)
-
-
 def error_integral_raw(model: ErrorBoundModel, x):
     """The un-anchored closed form of ``F`` (no subtraction at 2).
 
     Valid for ``x > 1``; prefer :func:`error_integral` in anything that sums
     stage contributions, which is anchored so ``F(2) == 0``.
     """
-    arr, lg, llg = _logs(x, 1.0, strict=True, what="error_integral_raw")
-    return _ret(arr, np.exp(error_forms(model)[0](lg, llg)))
+    arr = _check_min(x, 1.0, strict=True, what="error_integral_raw")
+    lg = np.log(arr)
+    return _ret(arr, np.exp(error_forms(model)[0](lg, np.log(lg))))
 
 
 def error_integral(model: ErrorBoundModel, x):
     """``F(x) - F(2)`` for ``x >= 2`` (anchored so stage sums telescope)."""
     arr = _check_min(x, 2.0, strict=False, what="error_integral")
     return _ret(arr, error_integral_raw(model, arr) - error_integral_raw(model, 2.0))
+
+
+def signed_density(model: ErrorBoundModel, lg):
+    """The signed ``f = dF/dx`` at ``x = e**lg``, with no domain check."""
+    log_raw, elasticity = error_forms(model)
+    # (F_raw / x) * elasticity: taking the exp of log F_raw - log x keeps f(2)
+    # correctly rounded for RH_SQRT, where exp(log F_raw) * e / x is 1.2 ulp off
+    return np.exp(log_raw(lg, np.log(lg)) - lg) * elasticity(lg)
 
 
 def error_density(model: ErrorBoundModel, x):
@@ -252,13 +263,10 @@ def error_density(model: ErrorBoundModel, x):
     returned exactly; see :func:`positive_density_floor` for the first prime
     at which each density is safe to use as a mixture coefficient.
     """
-    arr, lg, llg = _logs(x, 2.0, strict=False, what="error_density")
+    arr = _check_min(x, 2.0, strict=False, what="error_density")
     if model.variant is Variant.X_OVER_LOG and (arr <= _E).any():
         raise DomainError("X_OVER_LOG density is not positive below e")
-    log_raw, elasticity = error_forms(model)
-    # (F_raw / x) * elasticity: taking the exp of log F_raw - log x keeps f(2)
-    # correctly rounded for RH_SQRT, where exp(log F_raw) * e / x is 1.2 ulp off
-    return _ret(arr, np.exp(log_raw(lg, llg) - lg) * elasticity(lg))
+    return _ret(arr, signed_density(model, np.log(arr)))
 
 
 def positive_density_floor(model: ErrorBoundModel) -> int:

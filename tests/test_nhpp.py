@@ -21,6 +21,7 @@ from prime_oracle.nhpp import (
 from prime_oracle.specialfn import (
     MT,
     MT_DECAY_CONSTANT,
+    PANEL_WIDTH,
     RH_SQRT,
     X_OVER_LOG,
     IntensityParams,
@@ -137,9 +138,9 @@ class TestSimulate:
             assert rel.max() <= 1e-12, (model.label, rel.max())
 
     def test_inverse_accuracy_on_wide_cells(self):
-        # a tiny alpha keeps a 1e300 horizon below the event ceiling, and
-        # its bracket cells are 0.34 wide in log t: 34 Gauss-Legendre panels
-        # per cell hold the residual where one panel would leave 2e-10
+        # a tiny alpha keeps a 1e300 horizon below the event ceiling; its
+        # 69,009 bracket cells are each one Gauss-Legendre panel 0.01 wide in
+        # log t; one panel on cells 0.34 wide left errors of 2e-10
         params, horizon = IntensityParams(1e-295, 0.0), 1e300
         for seed in range(3):
             total = cumulative_intensity(RH_SQRT, params, 2.0, horizon)
@@ -186,11 +187,13 @@ class TestSimulate:
                     worst = max(worst, float(abs(mp.mpf(t[k]) - root) / root))
         assert worst <= 2.07e-15, worst
 
-    def test_work_per_event(self, monkeypatch):
+    @pytest.mark.parametrize("horizon", [1e3, 1e5, 1e7], ids=["1e3", "1e5", "1e7"])
+    def test_work_per_event(self, monkeypatch, horizon):
         # the cumulative intensity (expi) runs on the total and the bracket
-        # grid only; each Newton round evaluates the hazard at the three
-        # Gauss-Legendre nodes and at the iterate, and converged events
-        # leave the loop, so about two rounds per event
+        # grid only, one cell per panel width in log t; each Newton round
+        # evaluates the hazard at the three Gauss-Legendre nodes and at the
+        # iterate, and converged events leave the loop, so about two rounds
+        # per event at every horizon
         asked = []
         hazard_elements = []
         real = nhpp.cumulative_intensity
@@ -206,8 +209,8 @@ class TestSimulate:
 
         monkeypatch.setattr(nhpp, "cumulative_intensity", counting)
         monkeypatch.setattr(nhpp, "_hazard", counting_hazard)
-        stream = simulate(RH_SQRT, NEAR_PNT, 1e5, seed=6)
-        assert sorted(asked) == [1, 2049]
+        stream = simulate(RH_SQRT, NEAR_PNT, horizon, seed=6)
+        assert sorted(asked) == [1, 1 + math.ceil(math.log(horizon / 2.0) / PANEL_WIDTH)]
         assert sum(hazard_elements) <= 2 * 4 * len(stream.times)
 
     def test_unconverged_events_are_loud(self, monkeypatch):

@@ -460,10 +460,21 @@ class TestTrajectory:
             assert row.var_alpha == pytest.approx(rb.posterior_var_alpha(state), rel=1e-12)
             assert row.var_beta == pytest.approx(rb.posterior_var_beta(state), rel=1e-12)
 
-    @pytest.mark.parametrize("primes", [[2, 3, 7, 5, 11], [2, 3, 3, 5]])
-    def test_rejects_non_increasing(self, primes):
-        with pytest.raises(DomainError):
-            rb.trajectory(RH_SQRT, primes, FLAT, [100])
+    @pytest.mark.parametrize(
+        "model, primes, checkpoints",
+        [
+            (RH_SQRT, [2, 3, 7, 5, 11], [100]),
+            (RH_SQRT, [2, 3, 3, 5], [100]),
+            # the disorder and the sub-2 start lie below the density floor
+            (MT, [3, 2, 5, 7], [10]),
+            (RH_SQRT, [1, 0.5, 3, 5, 7], [10]),
+            (RH_SQRT, [2, 3, 5, math.inf], [math.inf]),
+        ],
+        ids=["swapped", "repeated", "mt-swapped-below-floor", "below-two", "infinite"],
+    )
+    def test_rejects_non_increasing(self, model, primes, checkpoints):
+        with pytest.raises(DomainError, match="primes must be"):
+            rb.trajectory(model, primes, FLAT, checkpoints)
 
     @pytest.mark.parametrize(
         "primes, checkpoints",

@@ -86,7 +86,11 @@ class TestLi:
         assert out[0] == 0.0
 
 
-@pytest.mark.parametrize("x", [math.nan, np.array([10.0, math.nan, 20.0])], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "x",
+    [math.nan, np.array([10.0, math.nan, 20.0]), math.inf, np.array([10.0, math.inf])],
+    ids=["scalar", "array", "inf-scalar", "inf-array"],
+)
 @pytest.mark.parametrize("fn", [f for _, f in FUNCTIONS_OF_X], ids=[n for n, _ in FUNCTIONS_OF_X])
 def test_nan_refused(fn, x):
     with pytest.raises(DomainError, match="requires x"):
