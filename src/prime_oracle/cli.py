@@ -185,16 +185,16 @@ def _cmd_compare_models(args) -> int:
     limit = int(args.limit)
     if limit < 5:
         raise DomainError("--limit must be at least 5")
-    primes = primes_up_to(limit).primes[1:].tolist()  # from 3: both densities positive
-    next_prime = primes[-1] + 2
+    primes = primes_up_to(limit).primes[1:]  # from 3: both densities positive
+    next_prime = int(primes[-1]) + 2
     while not is_prime_u64(next_prime):
         next_prime += 2
     hyper = Hyperparameters()
     n = len(primes)
     rows = []
     for k in sorted({10**j for j in range(1, 10) if 10**j <= n} | {n}):
-        t_k = primes[k - 1]
-        t_next = primes[k] if k < n else next_prime
+        t_k = int(primes[k - 1])
+        t_next = int(primes[k]) if k < n else next_prime
         rows.append(
             (
                 k,

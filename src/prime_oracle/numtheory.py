@@ -7,7 +7,8 @@ A014233), Sinclair's seven bases below 2**64 (checked against Feitsma and
 Galway's list of every base-2 strong pseudoprime below 2**64), and the first
 twelve primes below psi_12 ~ 3.19e23 (Sorenson & Webster, Math. Comp. 86,
 2017).  Larger inputs are refused, and the Lucas-Lehmer test is exact for
-Mersenne numbers.
+Mersenne numbers.  Prime tables come from a segmented sieve of Eratosthenes
+that keeps one flag per odd integer, 1 MB of scratch flags per segment.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ LUCAS_LEHMER_CEILING = 100_000
 #: Largest sieve limit this module will attempt.
 SIEVE_LIMIT_CEILING = 10**9
 
-#: Boolean flags per sieve segment: the scratch memory of any sieve (64 MB).
-_SEGMENT = 1 << 26
+#: Boolean flags per sieve segment, one per odd integer, so a segment spans
+#: ``2 * _SEGMENT`` integers: the scratch memory of any sieve (1 MB, sized to
+#: fit a per-core L2 cache).
+_SEGMENT = 1 << 20
 
 # 56 digits of log10(2); exact digit counts for any exponent a float could
 # silently get wrong near an integer boundary.
@@ -77,12 +80,14 @@ class PrimeTable:
 
 
 def primes_up_to(limit: int) -> PrimeTable:
-    """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977).
+    """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) on odd numbers.
 
-    Flags ``_SEGMENT`` integers at a time from 0 and strikes the multiples of
-    each base prime ``p <= isqrt(limit)`` from ``max(p*p, first multiple >= lo)``.
-    The base primes come from this same function (five levels deep at 1e9), so
-    one loop serves every limit within one segment of scratch memory.
+    Each segment ``[lo, lo + 2*_SEGMENT)`` holds one flag per odd integer,
+    ``flags[i]`` standing for ``lo + 2i + 1``, and 2 is put in front of the
+    result.  Each odd base prime ``p <= isqrt(limit)`` strikes every other
+    multiple from the first odd one at or above ``max(p*p, lo)``.  The base
+    primes come from this same function (five levels deep at 1e9), so one
+    loop serves every limit within 1 MB of scratch flags.
     """
     limit = int(limit)
     if limit < 2:
@@ -91,15 +96,21 @@ def primes_up_to(limit: int) -> PrimeTable:
         raise ResourceError(f"sieve limit {limit} exceeds ceiling {SIEVE_LIMIT_CEILING}")
 
     root = math.isqrt(limit)
-    base = primes_up_to(root).primes.tolist() if root >= 2 else []
-    chunks = []
-    for lo in range(0, limit + 1, _SEGMENT):
-        flags = np.ones(min(_SEGMENT, limit + 1 - lo), dtype=bool)
+    base = primes_up_to(root).primes[1:].tolist() if root >= 2 else []
+    chunks = [np.array([2], dtype=np.uint64)]
+    for lo in range(0, limit + 1, 2 * _SEGMENT):
+        hi = min(lo + 2 * _SEGMENT, limit + 1)
+        flags = np.ones((hi - lo) // 2, dtype=bool)
         if lo == 0:
-            flags[:2] = False
+            flags[0] = False
         for p in base:
-            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
-        chunks.append((np.flatnonzero(flags) + lo).astype(np.uint64))
+            if p * p >= hi:  # not on start >= hi: a larger p may still strike here
+                break
+            start = max(p * p, -(-lo // p) * p)
+            if start % 2 == 0:
+                start += p
+            flags[(start - lo) // 2 :: p] = False
+        chunks.append((2 * np.flatnonzero(flags) + lo + 1).astype(np.uint64))
     return PrimeTable(limit, np.concatenate(chunks))
 
 

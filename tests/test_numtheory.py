@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -97,6 +98,12 @@ class TestPrimesUpTo:
     def test_million_count(self):
         assert len(primes_up_to(10**6)) == 78498
 
+    def test_counts_at_powers_of_ten(self):
+        # pi(10**k) for k = 1..8, OEIS A006880
+        counts = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
+        for k, count in enumerate(counts, start=1):
+            assert len(primes_up_to(10**k)) == count, k
+
     def test_table_invariants(self, primes_small):
         p = primes_small.primes.astype(np.int64)
         assert p[0] == 2
@@ -104,14 +111,21 @@ class TestPrimesUpTo:
         assert p[-1] <= primes_small.limit
 
     def test_segment_boundaries(self, monkeypatch):
-        # on either side of the k-th segment boundary, and at a prime square
-        for seg in (2, 7, 64, 1000):
+        # A segment of ``seg`` odd-only flags spans 2*seg integers: limits on
+        # either side of the k-th multiple of seg and of 2*seg, at a prime
+        # square, and at a prime square p*p = 2*k*seg + 1 that is a segment's
+        # first flag (limit p*p makes it the whole last segment).
+        expected = trial_division_primes(751 * 751 + 1000)
+        for seg, p in ((2, 3), (7, 13), (64, 127), (1000, 751)):
+            assert p * p % (2 * seg) == 1 and trial_division_is_prime(p)
             monkeypatch.setattr(numtheory, "_SEGMENT", seg)
-            limits = [k * seg + d for k in (1, 2, 5) for d in (-1, 0, 1)]
-            for limit in [n for n in limits if n >= 2] + [97 * 97]:
+            limits = [m * k * seg + d for m in (1, 2) for k in (1, 2, 5) for d in (-1, 0, 1)]
+            limits += [97 * 97, p * p, p * p + seg]
+            for limit in [n for n in limits if n >= 2]:
                 got = primes_up_to(limit).primes
                 assert got.dtype == np.uint64
-                assert got.tolist() == trial_division_primes(limit), (seg, limit)
+                want = expected[: bisect.bisect_right(expected, limit)]
+                assert got.tolist() == want, (seg, limit)
 
     @given(st.integers(min_value=2, max_value=20_000))
     @settings(max_examples=60, deadline=None)
