@@ -79,6 +79,22 @@ class PrimeTable:
         return len(self.primes)
 
 
+def _prime_count_bound(x: int) -> int:
+    """A proven upper bound on pi(x) for x >= 2, so a sieve fills one array.
+
+    Dusart (2010, Thm 6.9): pi(x) <= x/log x * (1 + 1/log x + 2.51/log^2 x)
+    for x >= 355991, within 0.04% of pi(x) at 1e8 and 1e9; below that,
+    Rosser & Schoenfeld (1962): pi(x) < 1.25506 x/log x for x > 1.  The
+    floor plus one absorbs the float rounding of either bound.
+    """
+    log_x = math.log(x)
+    if x >= 355_991:
+        bound = x / log_x * (1.0 + 1.0 / log_x + 2.51 / log_x**2)
+    else:
+        bound = 1.25506 * x / log_x
+    return int(bound) + 1
+
+
 def primes_up_to(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) on odd numbers.
 
@@ -87,7 +103,9 @@ def primes_up_to(limit: int) -> PrimeTable:
     result.  Each odd base prime ``p <= isqrt(limit)`` strikes every other
     multiple from the first odd one at or above ``max(p*p, lo)``.  The base
     primes come from this same function (five levels deep at 1e9), so one
-    loop serves every limit within 1 MB of scratch flags.
+    loop serves every limit within 1 MB of scratch flags.  The primes go
+    straight into one array sized by :func:`_prime_count_bound`, and the
+    table is its filled prefix, so the result is held once.
     """
     limit = int(limit)
     if limit < 2:
@@ -97,7 +115,9 @@ def primes_up_to(limit: int) -> PrimeTable:
 
     root = math.isqrt(limit)
     base = primes_up_to(root).primes[1:].tolist() if root >= 2 else []
-    chunks = [np.array([2], dtype=np.uint64)]
+    out = np.empty(_prime_count_bound(limit), dtype=np.uint64)
+    out[0] = 2
+    count = 1
     for lo in range(0, limit + 1, 2 * _SEGMENT):
         hi = min(lo + 2 * _SEGMENT, limit + 1)
         flags = np.ones((hi - lo) // 2, dtype=bool)
@@ -110,8 +130,12 @@ def primes_up_to(limit: int) -> PrimeTable:
             if start % 2 == 0:
                 start += p
             flags[(start - lo) // 2 :: p] = False
-        chunks.append((2 * np.flatnonzero(flags) + lo + 1).astype(np.uint64))
-    return PrimeTable(limit, np.concatenate(chunks))
+        odd = np.flatnonzero(flags)
+        odd *= 2
+        odd += lo + 1
+        out[count : count + len(odd)] = odd
+        count += len(odd)
+    return PrimeTable(limit, out[:count])
 
 
 def is_prime_u64(n: int) -> bool:

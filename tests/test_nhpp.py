@@ -187,13 +187,17 @@ class TestSimulate:
                     worst = max(worst, float(abs(mp.mpf(t[k]) - root) / root))
         assert worst <= 2.07e-15, worst
 
+    @pytest.mark.parametrize("model", [RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT], ids=lambda m: m.label)
     @pytest.mark.parametrize("horizon", [1e3, 1e5, 1e7], ids=["1e3", "1e5", "1e7"])
-    def test_work_per_event(self, monkeypatch, horizon):
+    def test_work_per_event(self, monkeypatch, horizon, model):
         # the cumulative intensity (expi) runs on the total and the bracket
-        # grid only, one cell per panel width in log t; each Newton round
-        # evaluates the hazard at the three Gauss-Legendre nodes and at the
-        # iterate, and converged events leave the loop, so about two rounds
-        # per event at every horizon
+        # grid only, one cell per panel width in log t, and the hazard runs
+        # once on the grid for the slopes of the cubic-Hermite start.  Each
+        # Newton round evaluates the hazard at the three Gauss-Legendre nodes
+        # and at the iterate, and converged events leave the loop.  From the
+        # Hermite start every event converged in the first round (seeds 6-15,
+        # each model and horizon here); the slack lets four events take a
+        # second round
         asked = []
         hazard_elements = []
         real = nhpp.cumulative_intensity
@@ -209,9 +213,36 @@ class TestSimulate:
 
         monkeypatch.setattr(nhpp, "cumulative_intensity", counting)
         monkeypatch.setattr(nhpp, "_hazard", counting_hazard)
-        stream = simulate(RH_SQRT, NEAR_PNT, horizon, seed=6)
-        assert sorted(asked) == [1, 1 + math.ceil(math.log(horizon / 2.0) / PANEL_WIDTH)]
-        assert sum(hazard_elements) <= 2 * 4 * len(stream.times)
+        stream = simulate(model, NEAR_PNT, horizon, seed=6)
+        cells = math.ceil(math.log(horizon / 2.0) / PANEL_WIDTH)
+        assert sorted(asked) == [1, 1 + cells]
+        assert sum(hazard_elements) <= 4 * len(stream.times) + (cells + 1) + 4 * 4
+
+    @pytest.mark.parametrize("horizon", [10.0, 1e4], ids=["10", "1e4"])
+    @pytest.mark.parametrize(
+        "model,beta",
+        [(X_OVER_LOG, 2.25), (X_OVER_LOG, 2.259), (X_OVER_LOG, 2.26), (MT, 100.0)],
+        ids=["x-over-log-2.25", "x-over-log-2.259", "x-over-log-2.26", "mt-100"],
+    )
+    def test_non_positive_hazard_at_the_grid(self, model, beta, horizon):
+        # under X_OVER_LOG the hazard at 2 is 5.7e-3 at beta 2.25, -6.9e-5 at
+        # 2.259 and -7.1e-4 at 2.26: a grid point whose hazard is not positive
+        # has no usable Hermite slope, so its cells start linearly, and Lambda
+        # still increases on every cell, so the draw is exact.  Under MT at
+        # beta 100 the hazard at 2 is -28.9 and Lambda falls on the first cell
+        params = IntensityParams(1.0, beta)
+        if model is MT:
+            with pytest.raises(DomainError, match="not strictly increasing"):
+                simulate(model, params, horizon, seed=0)
+            return
+        for seed in range(3):
+            total = cumulative_intensity(model, params, 2.0, horizon)
+            targets = _draw_targets(np.random.default_rng(seed), total)
+            t = simulate(model, params, horizon, seed=seed).times
+            assert len(t) == len(targets) > 0
+            resid = cumulative_intensity(model, params, 2.0, t) - targets
+            rel = np.abs(resid) / (_hazard(model, params, t) * t)
+            assert rel.max() <= 1e-12, (seed, rel.max())
 
     def test_unconverged_events_are_loud(self, monkeypatch):
         # a slope 100 times too steep makes every Newton step 1% of the way

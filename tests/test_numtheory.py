@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ def mersenne_smallest_factor(p: int) -> int | None:
     return int(divisors[0]) if len(divisors) else None
 
 
+#: pi(10**k) for k = 1..9, OEIS A006880.
+PI_POWERS_OF_TEN = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534)
+
+
 class TestPrimesUpTo:
     def test_tiny_exhaustive(self):
         assert primes_up_to(10).primes.tolist() == [2, 3, 5, 7]
@@ -99,10 +104,32 @@ class TestPrimesUpTo:
         assert len(primes_up_to(10**6)) == 78498
 
     def test_counts_at_powers_of_ten(self):
-        # pi(10**k) for k = 1..8, OEIS A006880
-        counts = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
-        for k, count in enumerate(counts, start=1):
+        for k, count in enumerate(PI_POWERS_OF_TEN[:8], start=1):
             assert len(primes_up_to(10**k)) == count, k
+
+    def test_count_bound(self):
+        # the bound sizes the sieve's one output array, so it must hold at
+        # every x to 4e5, across the switch from Rosser-Schoenfeld to Dusart
+        # at 355991, and at the decades to 1e9
+        top = 4 * 10**5
+        flags = np.zeros(top + 1, dtype=np.int64)
+        flags[primes_up_to(top).primes.astype(np.int64)] = 1
+        pi = np.cumsum(flags)
+        bound = [numtheory._prime_count_bound(x) for x in range(2, top + 1)]
+        assert np.all(np.array(bound) >= pi[2:])
+        for k, count in enumerate(PI_POWERS_OF_TEN, start=1):
+            assert numtheory._prime_count_bound(10**k) >= count, k
+
+    def test_table_held_once(self):
+        # the primes are written into one array sized by the bound: chunks
+        # joined by np.concatenate peaked at twice the 44 MiB table at 1e8
+        tracemalloc.start()
+        try:
+            table = primes_up_to(10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * table.primes.nbytes + 8 * 2**20, peak
 
     def test_table_invariants(self, primes_small):
         p = primes_small.primes.astype(np.int64)
