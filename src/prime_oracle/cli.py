@@ -167,16 +167,12 @@ def _cmd_diagnose(args) -> int:
     model = ErrorBoundModel.parse(args.model)
     hyper = _parse_hyper(args.hyper) if args.hyper else Hyperparameters()
     table = primes_up_to(int(args.limit))
-    rows = recursive_bayes.trajectory(
-        model, table.primes, hyper, _decade_checkpoints(args.limit)
-    )
+    rows = recursive_bayes.trajectory(model, table.primes, hyper, _decade_checkpoints(args.limit))
     _emit_csv(
         args,
         "model,k,t_k,mean_alpha,var_alpha,mean_beta,var_beta",
-        (
-            (model.label, r.k, int(r.t_last), r.mean_alpha, r.var_alpha, r.mean_beta, r.var_beta)
-            for r in rows
-        ),
+        ((model.label, r.k, int(r.t_last), r.mean_alpha, r.var_alpha, r.mean_beta, r.var_beta)
+         for r in rows),
     )
     return 0
 
@@ -195,16 +191,9 @@ def _cmd_compare_models(args) -> int:
     for k in sorted({10**j for j in range(1, 10) if 10**j <= n} | {n}):
         t_k = int(primes[k - 1])
         t_next = int(primes[k]) if k < n else next_prime
-        rows.append(
-            (
-                k,
-                recursive_bayes.model_compare_log_ratio(
-                    recursive_bayes.state_at(hyper, MT, k, t_k),
-                    recursive_bayes.state_at(hyper, X_OVER_LOG, k, t_k),
-                    t_next,
-                ),
-            )
-        )
+        rows.append((k, recursive_bayes.model_compare_log_ratio(
+            recursive_bayes.state_at(hyper, MT, k, t_k),
+            recursive_bayes.state_at(hyper, X_OVER_LOG, k, t_k), t_next)))
     _emit_csv(args, "k,log_ratio", rows)
     return 0
 
@@ -225,32 +214,21 @@ def _cmd_simulate_nhpp(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    if args.kmax < 2 or args.kmax > nonrecursive_bayes.K_CAP:
-        raise DomainError(f"--kmax must lie in [2, {nonrecursive_bayes.K_CAP}]")
+    if args.kmax < 2:
+        raise DomainError(f"--kmax must be at least 2, got {args.kmax}")
     # p_k < k (log k + log log k) for k >= 6 (Rosser and Schoenfeld, 1962)
     k = max(args.kmax, 6)
     table = primes_up_to(int(k * (math.log(k) + math.log(math.log(k)))))
-    primes = [int(p) for p in table.primes[: args.kmax]]
     # k = 1 with the flat default prior is improper (empty error integral at
     # t = 2), so the report starts at stage 2.
     rows = nonrecursive_bayes.equivalence_report(
-        primes, Hyperparameters(), range(2, args.kmax + 1)
+        table.primes[: args.kmax], Hyperparameters(), range(2, args.kmax + 1)
     )
     _emit_csv(
         args,
         "k,rec_mean_alpha,nonrec_mean_alpha,rec_mean_beta,nonrec_mean_beta,gap_alpha,gap_beta",
-        (
-            (
-                r.k,
-                r.rec_mean_alpha,
-                r.nonrec_mean_alpha,
-                r.rec_mean_beta,
-                r.nonrec_mean_beta,
-                r.gap_alpha,
-                r.gap_beta,
-            )
-            for r in rows
-        ),
+        ((r.k, r.rec_mean_alpha, r.nonrec_mean_alpha, r.rec_mean_beta, r.nonrec_mean_beta,
+          r.gap_alpha, r.gap_beta) for r in rows),
     )
     return 0
 

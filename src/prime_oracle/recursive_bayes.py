@@ -11,10 +11,11 @@ evaluates any stage in closed form from ``k`` and ``t_k`` alone; ``init`` and
 per checkpoint rather than one update per prime.
 
 The stage-k posterior is the exact one-prime posterior under the prior
-advanced k-1 stages, so both engines return one posterior type:
-:class:`GammaProductMixture`, built by :func:`mixture`, with its weights,
-moments, predictive and density.  :func:`posterior` gives the stage-k one
-and :func:`.nonrecursive_bayes.build` the exact one.
+advanced k-1 stages: :func:`posterior` gives it as a two-component
+:class:`GammaProductMixture`.  The exact posterior of all k primes
+(:func:`.nonrecursive_bayes.build`) has the same methods, and shares the
+rate checks and the predictive's gaps (:func:`_checked_rates`,
+:func:`_predictive_gaps`).
 
 The posterior trajectory across checkpoints is the package's diagnostic
 instrument: the alpha mean approaches 1 under every error model (the
@@ -32,37 +33,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import (
-    GAUSS_LEGENDRE_3,
-    PANEL_WIDTH,
-    ErrorBoundModel,
-    Li,
-    error_density,
-    error_integral,
-    li,
-    MT_DECAY_CONSTANT,
-    positive_density_floor,
-)
+from .specialfn import (GAUSS_LEGENDRE_3, PANEL_WIDTH, ErrorBoundModel, Li, error_density,
+                        error_integral, li, MT_DECAY_CONSTANT, positive_density_floor)
 
 __all__ = [
-    "Hyperparameters",
-    "RecursionState",
-    "Moments",
-    "GammaProductMixture",
-    "TrajectoryRow",
-    "state_at",
-    "init",
-    "update",
-    "mixture",
-    "posterior",
-    "posterior_mean_alpha",
-    "posterior_var_alpha",
-    "posterior_mean_beta",
-    "posterior_var_beta",
-    "log_posterior_predictive",
-    "trajectory",
-    "asymptotic_form_table",
-    "model_compare_log_ratio",
+    "Hyperparameters", "RecursionState", "Moments", "GammaProductMixture", "TrajectoryRow",
+    "state_at", "init", "update", "posterior", "posterior_mean_alpha", "posterior_var_alpha",
+    "posterior_mean_beta", "posterior_var_beta", "log_posterior_predictive", "trajectory",
+    "asymptotic_form_table", "model_compare_log_ratio",
 ]
 
 
@@ -130,14 +108,8 @@ def state_at(
         raise DomainError(f"primes must be >= 2, got {t_k}")
     if k < 1:
         raise DomainError(f"stage count must be >= 1, got {k}")
-    return RecursionState(
-        k=int(k),
-        hyper=hyper,
-        sum_b1=hyper.a + Li(t_k),
-        sum_b2=hyper.b + error_integral(model, t_k),
-        t_last=t_k,
-        model=model,
-    )
+    return RecursionState(k=int(k), hyper=hyper, sum_b1=hyper.a + Li(t_k),
+                          sum_b2=hyper.b + error_integral(model, t_k), t_last=t_k, model=model)
 
 
 def init(hyper: Hyperparameters, model: ErrorBoundModel, t1: float) -> RecursionState:
@@ -149,9 +121,7 @@ def update(state: RecursionState, t_next: float) -> RecursionState:
     """Advance one stage by conditioning on the next prime."""
     t_next = float(t_next)
     if t_next <= state.t_last:
-        raise DomainError(
-            f"primes must be strictly increasing: {t_next} after {state.t_last}"
-        )
+        raise DomainError(f"primes must be strictly increasing: {t_next} after {state.t_last}")
     return state_at(state.hyper, state.model, state.k + 1, t_next)
 
 
@@ -163,17 +133,15 @@ class Moments(NamedTuple):
 
 
 class GammaProductMixture(NamedTuple):
-    """Components ``Gamma(a0 + r, A) x Gamma(b0 + m - r, B)``, r = 0..m.
+    """Components ``Gamma(a0, A) x Gamma(b0 + 1, B)`` and ``Gamma(a0 + 1, A) x Gamma(b0, B)``.
 
-    The one posterior type of both engines.  ``state`` supplies the rates
-    ``A = sum_b1`` and ``B = sum_b2`` together with the model, prior and last
-    prime that the predictive extends from; ``log_c`` are the log
-    coefficients the mixture was built from, ``w`` the normalized weights
-    and ``log_w`` their logs.
+    The stage-k posterior of the recursive engine.  ``state`` supplies the
+    rates ``A = sum_b1`` and ``B = sum_b2`` together with the model, prior
+    and last prime that the predictive extends from; ``w`` are the
+    normalized weights and ``log_w`` their logs.
     """
 
     state: RecursionState
-    log_c: np.ndarray
     w: np.ndarray
     log_w: np.ndarray
     shape_a: np.ndarray
@@ -183,9 +151,7 @@ class GammaProductMixture(NamedTuple):
         """The posterior means and variances of alpha and beta.
 
         Each variance is ``(E_w[s] + Var_w[s]) / rate**2`` over the component
-        shapes s, which avoids the cancellation of ``E[x**2] - E[x]**2`` at
-        large shapes.  Every summand is non-negative, so plain sums lose
-        nothing to cancellation.
+        shapes s: non-negative summands, free of ``E[x**2] - E[x]**2``.
         """
         out: list[float] = []
         for shape, rate in ((self.shape_a, self.state.sum_b1), (self.shape_b, self.state.sum_b2)):
@@ -200,32 +166,14 @@ class GammaProductMixture(NamedTuple):
         With ``A' = a + Li(t)`` and ``B' = b + F(t)`` this is ``log sum_r w_r
         (A/A')**sa_r (B/B')**sb_r (li(t) sa_r / A' + f(t) sb_r / B')``: each
         component's expected hazard at ``t`` times its survival over
-        ``(t_last, t]``, summed in log space.  The gaps ``A' - A`` and
-        ``B' - B`` are integrated over ``[t_last, t]`` by :func:`_gap_rule`, not
-        taken as differences of two rounded values: at ``t`` near 1e6 those
-        lose 1e-10 of a gap between neighbouring primes.
+        ``(t_last, t]``, summed in log space.
         """
-        state = self.state
-        t = float(t)
-        if not (state.t_last < t < math.inf):
-            raise DomainError("predictive point must be finite and exceed the last prime")
-        c2 = error_density(state.model, t)
-        if c2 <= 0.0:
-            raise DomainError("error density not positive at the predictive point")
-        nodes, weights = _gap_rule(state.t_last, t)
-        gap_a = float(li(nodes) @ weights)
-        gap_b = float(error_density(state.model, nodes) @ weights)
-        ap = state.sum_b1 + gap_a
-        bp = state.sum_b2 + gap_b
+        state, sa, sb = self.state, self.shape_a, self.shape_b
+        li_t, f_t, gap_a, gap_b = _predictive_gaps(state, t)
+        ap, bp = state.sum_b1 + gap_a, state.sum_b2 + gap_b
         # log(A/A') = -log1p((A' - A)/A): no rounding of log(A) near k log k
-        log_ra = -math.log1p(gap_a / state.sum_b1)
-        log_rb = -math.log1p(gap_b / state.sum_b2)
-        z = (
-            self.log_w
-            + self.shape_a * log_ra
-            + self.shape_b * log_rb
-            + np.log(li(t) * self.shape_a / ap + c2 * self.shape_b / bp)
-        )
+        log_ra, log_rb = -math.log1p(gap_a / state.sum_b1), -math.log1p(gap_b / state.sum_b2)
+        z = self.log_w + sa * log_ra + sb * log_rb + np.log(li_t * sa / ap + f_t * sb / bp)
         top = z.max()
         return float(top + math.log(np.exp(z - top).sum()))
 
@@ -233,10 +181,8 @@ class GammaProductMixture(NamedTuple):
         """Density at ``(alpha, beta) > 0``; the two arguments broadcast."""
         from scipy.special import gammaln
 
-        ra, rb = self.state.sum_b1, self.state.sum_b2
-        a = np.asarray(alpha, dtype=float)[..., None]
-        b = np.asarray(beta, dtype=float)[..., None]
-        sa, sb = self.shape_a, self.shape_b
+        ra, rb, sa, sb = self.state.sum_b1, self.state.sum_b2, self.shape_a, self.shape_b
+        a, b = np.asarray(alpha, dtype=float)[..., None], np.asarray(beta, dtype=float)[..., None]
         log_terms = (
             self.log_w
             + sa * math.log(ra) - gammaln(sa) + (sa - 1.0) * np.log(a) - ra * a
@@ -245,17 +191,34 @@ class GammaProductMixture(NamedTuple):
         return np.exp(log_terms).sum(axis=-1)
 
 
+def _predictive_gaps(state: RecursionState, t: float) -> tuple[float, float, float, float]:
+    """``li(t)``, ``f(t)`` and the rate gaps ``A' - A``, ``B' - B`` of a predictive at ``t``.
+
+    Both engines' predictives take their domain check from here.  The gaps
+    are integrated over ``[t_last, t]``, not differenced: near 1e6 two rounded
+    values lose 1e-10 of a gap between neighbouring primes.
+    """
+    t = float(t)
+    if not (state.t_last < t < math.inf):
+        raise DomainError("predictive point must be finite and exceed the last prime")
+    f_t = error_density(state.model, t)
+    if f_t <= 0.0:
+        raise DomainError("error density not positive at the predictive point")
+    nodes, weights = _gap_rule(state.t_last, t)
+    gap_a = float(li(nodes) @ weights)
+    gap_b = float(error_density(state.model, nodes) @ weights)
+    return li(t), f_t, gap_a, gap_b
+
+
 def _gap_rule(t0: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of 3-point Gauss-Legendre in t over ``[t0, t]``.
 
-    The panels are equal in log t, each at most :data:`.PANEL_WIDTH` wide in
-    log t, so a gap of at most 1% of ``t0`` is one panel, of the exact width
-    ``t - t0``, and ``(2, e**80]`` is 7,931 panels.
-    Against 40-digit mpmath, the four models' integrals over 150 gaps
-    between neighbouring primes from 1e4 to 1e6 come out within 2.2e-16
-    relative for ``li`` and 1.1e-15 for ``f``.  Over wide intervals they come
-    out within 1.5e-15, except for the x-over-log and MT densities from
-    ``t0 = 3``, just above their zeros, which err by up to 1e-14.
+    The panels are equal in log t and at most :data:`.PANEL_WIDTH` wide there,
+    so a gap of at most 1% of ``t0`` is one panel and ``(2, e**80]`` 7,931.
+    Against 40-digit mpmath the four models' integrals over 150 prime gaps
+    from 1e4 to 1e6 err by at most 2.2e-16 relative for ``li`` and 1.1e-15
+    for ``f``; over wide intervals by 1.5e-15, or 1e-14 for the x-over-log
+    and MT densities from ``t0 = 3``, just above their zeros.
     """
     log_ratio = math.log1p((t - t0) / t0)
     panels = math.ceil(log_ratio / PANEL_WIDTH)
@@ -265,52 +228,30 @@ def _gap_rule(t0: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + half + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def mixture(state: RecursionState, log_c, a0: float, b0: float) -> GammaProductMixture:
-    """The posterior whose component r carries coefficient ``exp(log_c[r])``.
-
-    Component r's weight is ``c_r Gamma(a0+r) / A**(a0+r) * Gamma(b0+m-r) /
-    B**(b0+m-r)``.  The logs are of order ``k log k``, so they are normalized
-    by subtracting their maximum: subtracting their log-sum from each would
-    leave the weights summing to 1 only within ``k log k`` ulps.
-    """
-    from scipy.special import gammaln
-
-    if a0 <= 0.0 or b0 <= 0.0:
-        raise DomainError(f"improper posterior component: base shapes {a0}, {b0}")
+def _checked_rates(state: RecursionState) -> tuple[float, float]:
+    """The rates ``(A, B)`` of ``state``, refused where a posterior on them is improper."""
     ra, rb = state.sum_b1, state.sum_b2
     if ra <= 0.0 or rb <= 0.0:
-        raise DomainError(
-            "improper posterior: non-positive rate (the accumulated integrals "
-            "are empty or negative this close to the support edge)"
-        )
+        raise DomainError("improper posterior: non-positive rate (the accumulated integrals "
+                          "are empty or negative this close to the support edge)")
     if max(ra, rb) > _RATE_CEILING or min(ra, rb) < 1.0 / _RATE_CEILING:
-        raise DomainError(
-            f"posterior rates {ra:g}, {rb:g} lie outside [2**-510, 2**510], "
-            "beyond which their squares leave the float range"
-        )
-    log_c = np.asarray(log_c, dtype=float)
-    r = np.arange(log_c.size, dtype=float)
-    shape_a, shape_b = a0 + r, b0 + (log_c.size - 1) - r
-    lw = (
-        log_c
-        + gammaln(shape_a)
-        - shape_a * math.log(ra)
-        + gammaln(shape_b)
-        - shape_b * math.log(rb)
-    )
-    lw = lw - lw.max()
-    w = np.exp(lw)
-    total = w.sum()
-    return GammaProductMixture(state, log_c, w / total, lw - math.log(total), shape_a, shape_b)
+        raise DomainError(f"posterior rates {ra:g}, {rb:g} lie outside [2**-510, 2**510], "
+                          "beyond which their squares leave the float range")
+    return ra, rb
 
 
 def posterior(state: RecursionState) -> GammaProductMixture:
     """The stage-k posterior as a two-component mixture.
 
     It is the exact one-prime posterior under the prior advanced k-1 stages:
-    base shapes ``gamma + k - 1`` and ``xi + k - 1``, coefficients
-    ``f(t_k)`` (r = 0) and ``li(t_k)`` (r = 1).
+    base shapes ``a0 = gamma + k - 1``, ``b0 = xi + k - 1`` and coefficients
+    ``c_0 = f(t_k)``, ``c_1 = li(t_k)``; component r weighs ``c_r
+    Gamma(a0+r) / A**(a0+r) * Gamma(b0+1-r) / B**(b0+1-r)``.  The log weights,
+    of order ``k log k``, are normalized by their maximum, not their log-sum,
+    which would leave the weights summing to 1 only within ``k log k`` ulps.
     """
+    from scipy.special import gammaln
+
     c2 = error_density(state.model, state.t_last)
     if c2 <= 0.0:
         raise DomainError(
@@ -318,8 +259,19 @@ def posterior(state: RecursionState) -> GammaProductMixture:
             f"recursion at {positive_density_floor(state.model)} or later"
         )
     advanced = state.k - 1
-    log_c = (math.log(c2), math.log(li(state.t_last)))
-    return mixture(state, log_c, state.hyper.gamma + advanced, state.hyper.xi + advanced)
+    a0, b0 = state.hyper.gamma + advanced, state.hyper.xi + advanced
+    if a0 <= 0.0 or b0 <= 0.0:
+        raise DomainError(f"improper posterior component: base shapes {a0}, {b0}")
+    ra, rb = _checked_rates(state)
+    log_c = np.array((math.log(c2), math.log(li(state.t_last))))
+    r = np.arange(2, dtype=float)
+    shape_a, shape_b = a0 + r, b0 + 1 - r
+    lw = (log_c + gammaln(shape_a) - shape_a * math.log(ra)
+          + gammaln(shape_b) - shape_b * math.log(rb))
+    lw = lw - lw.max()
+    w = np.exp(lw)
+    total = w.sum()
+    return GammaProductMixture(state, w / total, lw - math.log(total), shape_a, shape_b)
 
 
 def posterior_mean_alpha(state: RecursionState) -> float:
@@ -351,12 +303,10 @@ def trajectory(
 ) -> list[TrajectoryRow]:
     """Posterior moment rows at each checkpoint threshold.
 
-    ``checkpoints`` are x-thresholds; each row reports the state after the
-    largest prime not exceeding that threshold, and a checkpoint below the
-    first usable prime gives no row.  Primes below the model's
-    positive-density floor (the prime 2 for the ``X_OVER_LOG`` and ``MT``
-    shapes) are skipped so every mixture coefficient stays positive.  Each
-    row is evaluated in closed form from its stage count and last prime.
+    Each row is the closed-form state after the largest prime not exceeding
+    its x-threshold; a checkpoint below the first usable prime gives no row.
+    Primes below the model's positive-density floor (2 for ``X_OVER_LOG`` and
+    ``MT``) are skipped so every mixture coefficient stays positive.
     """
     ts = np.asarray(primes, dtype=float)
     cps = np.sort(np.asarray(checkpoints, dtype=float))
@@ -394,9 +344,7 @@ def asymptotic_form_table(k_values: Sequence[int]) -> list[tuple[int, float, flo
             raise DomainError(f"asymptotic forms need k >= 3, got {k}")
         log_k = math.log(k)
         sqrt_form = math.exp(0.5 * log_k - 1.5 * math.log(log_k))
-        mt_form = math.exp(
-            math.sqrt(log_k / MT_DECAY_CONSTANT) - 0.25 * math.log(log_k)
-        )
+        mt_form = math.exp(math.sqrt(log_k / MT_DECAY_CONSTANT) - 0.25 * math.log(log_k))
         rows.append((k, sqrt_form, mt_form))
     return rows
 
@@ -410,9 +358,5 @@ def model_compare_log_ratio(
     ``X_OVER_LOG`` pair the ratio grows without bound in k.
     """
     if state_m1.k != state_m2.k or state_m1.t_last != state_m2.t_last:
-        raise DomainError(
-            "model comparison requires states conditioned on the same primes"
-        )
-    return log_posterior_predictive(state_m1, t_next) - log_posterior_predictive(
-        state_m2, t_next
-    )
+        raise DomainError("model comparison requires states conditioned on the same primes")
+    return log_posterior_predictive(state_m1, t_next) - log_posterior_predictive(state_m2, t_next)

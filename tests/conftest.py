@@ -15,6 +15,24 @@ def primes_2e6():
 
 
 @pytest.fixture(scope="session")
+def exact_at_1e6(primes_2e6):
+    """Exact posterior moments under the flat prior at pi(1e6), by model label.
+
+    The primes start at 3 for the x-over-log and MT models, whose densities
+    are not positive at 2.
+    """
+    from prime_oracle import nonrecursive_bayes as nb
+    from prime_oracle.recursive_bayes import Hyperparameters
+    from prime_oracle.specialfn import MT, RH_SQRT, X_OVER_LOG, rh_eps
+
+    primes = primes_2e6.primes[primes_2e6.primes <= 1_000_000]
+    return {
+        model.label: nb.build(primes[first:], Hyperparameters(), model).moments()
+        for model, first in ((RH_SQRT, 0), (rh_eps(0.1), 0), (MT, 1), (X_OVER_LOG, 1))
+    }
+
+
+@pytest.fixture(scope="session")
 def primes_small():
     return primes_up_to(10_000)
 

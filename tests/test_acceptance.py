@@ -22,8 +22,10 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 from scipy.stats import norm
 
+import convolution
 from gauss_legendre import box_integrals
 from prime_oracle import nonrecursive_bayes as nb
 from prime_oracle import recursive_bayes as rb
@@ -271,12 +273,12 @@ def test_criterion_08_recursive_quadrature_oracle(state_k5):
     assert moments_ok and pred_ok and tail_ok
 
 
-def test_criterion_09_nonrecursive_oracle(primes_2e6):
+def test_criterion_09_nonrecursive_oracle(primes_2e6, exact_at_1e6):
     primes = [int(p) for p in primes_2e6.primes[:64]]
-    conv_ok = True
+    means_ok = True
     for k in range(1, 13):
         hyper = FLAT if k > 1 else Hyperparameters(1.0, 1.0, 1.0, 1.0)
-        post = nb.build(primes[:k], hyper, RH_SQRT)
+        got = nb.build(primes[:k], hyper, RH_SQRT).moments()
         c1 = [li(float(t)) for t in primes[:k]]
         c2 = [error_density(RH_SQRT, float(t)) for t in primes[:k]]
         coeffs = np.zeros(k + 1)
@@ -285,15 +287,29 @@ def test_criterion_09_nonrecursive_oracle(primes_2e6):
             for i, pick in enumerate(picks):
                 prod *= c1[i] if pick else c2[i]
             coeffs[sum(picks)] += prod
-        rel = np.max(np.abs(np.exp(post.log_c) - coeffs) / coeffs)
-        conv_ok = conv_ok and rel <= 1e-10
+        # component r of the 2**k expansion is Gamma(gamma + r) x Gamma(xi + k - r)
+        state = rb.state_at(hyper, RH_SQRT, k, primes[k - 1])
+        shape_a = hyper.gamma + np.arange(k + 1)
+        shape_b = hyper.xi + k - np.arange(k + 1)
+        log_w = (np.log(coeffs) + gammaln(shape_a) - shape_a * math.log(state.sum_b1)
+                 + gammaln(shape_b) - shape_b * math.log(state.sum_b2))
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        want = (w @ shape_a / state.sum_b1, w @ shape_b / state.sum_b2)
+        rel = max(abs(g - e) / e for g, e in zip((got.mean_alpha, got.mean_beta), want))
+        means_ok = means_ok and rel <= 1e-10
 
+    # at k = 1 the convolution oracle builds its mixture with the recursive
+    # arithmetic; the rho-integral engine agrees within 1.2e-15 (measured)
     proper = Hyperparameters(1.0, 1.0, 1.0, 1.0)
     s1 = rb.init(proper, RH_SQRT, 2)
-    p1 = nb.build([2], proper, RH_SQRT)
+    p1 = convolution.build([2], proper, RH_SQRT)
+    e1 = nb.build([2], proper, RH_SQRT).moments()
     k1_ok = (
         p1.moments().mean_alpha == rb.posterior_mean_alpha(s1)
         and p1.moments().mean_beta == rb.posterior_mean_beta(s1)
+        and abs(e1.mean_alpha / rb.posterior_mean_alpha(s1) - 1.0) <= 4e-15
+        and abs(e1.mean_beta / rb.posterior_mean_beta(s1) - 1.0) <= 4e-15
     )
 
     # The alpha-mean gap between the two routes is not monotone: it rises from
@@ -306,13 +322,17 @@ def test_criterion_09_nonrecursive_oracle(primes_2e6):
     gaps = [row.gap_alpha for row in rows]
     shrinking = all(g2 < g1 for g1, g2 in zip(gaps[1:], gaps[2:]))
     below_start = gaps[-1] < gaps[0]
+    at_1e6 = ", ".join(
+        f"{label} {m.mean_alpha:.5f}/{m.mean_beta:.4f}" for label, m in exact_at_1e6.items()
+    )
     verdict(
         9,
-        "convolution equals 2^k enumeration; inference routes converge",
-        conv_ok and k1_ok and shrinking and below_start,
-        ", ".join(f"gap(k={k})={g:.4f}" for k, g in zip(ladder, gaps)),
+        "exact means equal 2^k enumeration; inference routes converge",
+        means_ok and k1_ok and shrinking and below_start,
+        ", ".join(f"gap(k={k})={g:.4f}" for k, g in zip(ladder, gaps))
+        + f"; exact alpha/beta at pi(1e6): {at_1e6}",
     )
-    assert conv_ok
+    assert means_ok
     assert k1_ok
     assert shrinking, f"gap does not shrink along k={ladder[1:]}: {gaps[1:]}"
     assert below_start, f"gap(k=1024)={gaps[-1]:.4f} not below gap(k=5)={gaps[0]:.4f}"

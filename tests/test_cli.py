@@ -3,8 +3,12 @@ import warnings
 
 import pytest
 
+import convolution
+from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import _read_config_file, build_parser, main
 from prime_oracle.pipeline import FILE_HEADER, load_records
+from prime_oracle.recursive_bayes import Hyperparameters
+from prime_oracle.specialfn import RH_SQRT
 
 
 def read_csv(path):
@@ -150,8 +154,25 @@ class TestDiagnosticsCommands:
         assert [r["k"] for r in rows] == [str(k) for k in range(2, 13)]
         assert all(float(r["gap_alpha"]) >= 0 for r in rows)
 
-    def test_equivalence_cap(self):
-        assert main(["equivalence", "--kmax", "4097"]) == 2
+    def test_equivalence_past_former_cap(self, tmp_path, primes_2e6):
+        out = tmp_path / "eq.csv"
+        assert main(["equivalence", "--kmax", "4097", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        last = rows[-1]
+        assert last["k"] == "4097" and len(rows) == 4096
+        oracle = convolution.build(primes_2e6.primes[:4097], Hyperparameters(), RH_SQRT)
+        want = oracle.moments()
+        assert float(last["nonrec_mean_alpha"]) == pytest.approx(want.mean_alpha, rel=1e-12)
+        assert float(last["nonrec_mean_beta"]) == pytest.approx(want.mean_beta, rel=1e-12)
+        rec = rb.posterior(oracle.state).moments()
+        assert float(last["rec_mean_alpha"]) == rec.mean_alpha
+        assert float(last["rec_mean_beta"]) == rec.mean_beta
+
+    def test_equivalence_sieve_ceiling(self, capsys):
+        assert main(["equivalence", "--kmax", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sieve limit ") and "exceeds ceiling 1000000000" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

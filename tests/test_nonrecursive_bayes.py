@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+import convolution
 from gauss_legendre import box_integrals
-from prime_oracle.errors import DomainError, ResourceError
+from prime_oracle.errors import DomainError
 from prime_oracle import nonrecursive_bayes as nb
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.recursive_bayes import Hyperparameters
@@ -19,10 +20,14 @@ from prime_oracle.specialfn import (
     error_density,
     error_integral,
     li,
+    rh_eps,
 )
 
 FLAT = Hyperparameters()
 PROPER = Hyperparameters(1.0, 1.0, 1.0, 1.0)
+#: The four models, each with the index of its first prime: the x-over-log
+#: and MT densities are not positive at 2.
+MODELS = [(RH_SQRT, 0), (rh_eps(0.1), 0), (MT, 1), (X_OVER_LOG, 1)]
 
 
 def subset_coefficients(primes, model):
@@ -56,7 +61,7 @@ def flat_joint(primes, post):
 
 class TestBuild:
     def test_two_term_structure_at_k1(self):
-        post = nb.build([2], PROPER, RH_SQRT)
+        post = convolution.build([2], PROPER, RH_SQRT)
         p = np.exp(post.log_w)
         c1, c2 = li(2.0), error_density(RH_SQRT, 2.0)
         a_rate, b_rate = post.state.sum_b1, post.state.sum_b2
@@ -68,13 +73,13 @@ class TestBuild:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_convolution_equals_enumeration(self, k, primes_small):
         primes = [int(p) for p in primes_small.primes[:k]]
-        post = nb.build(primes, FLAT if k > 1 else PROPER, RH_SQRT)
+        log_c = convolution.log_coefficients(primes, RH_SQRT)
         expected = subset_coefficients(primes, RH_SQRT)
-        np.testing.assert_allclose(np.exp(post.log_c), expected, rtol=1e-10)
+        np.testing.assert_allclose(np.exp(log_c), expected, rtol=1e-10)
 
     def test_every_stage_equals_enumeration(self, primes_small):
         primes = [float(p) for p in primes_small.primes[:12]]
-        stages = list(nb._log_coefficient_stages(primes, RH_SQRT))
+        stages = list(convolution.log_coefficient_stages(primes, RH_SQRT))
         assert len(stages) == len(primes)
         for j, log_e in enumerate(stages, start=1):
             expected = subset_coefficients(primes[:j], RH_SQRT)
@@ -85,15 +90,21 @@ class TestBuild:
         post = nb.build(primes, FLAT, RH_SQRT)
         assert np.exp(post.log_w).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_cap(self, primes_2e6):
-        primes = [int(p) for p in primes_2e6.primes[:4097]]
-        with pytest.raises(ResourceError):
-            nb.build(primes, FLAT, RH_SQRT)
+    @pytest.mark.parametrize("k", [64, 1024, 4096])
+    @pytest.mark.parametrize("model, first", MODELS, ids=[m.label for m, _ in MODELS])
+    def test_matches_convolution(self, model, first, k, primes_2e6):
+        # the convolution oracle itself errs by up to 2.2e-13 at k = 1024
+        primes = primes_2e6.primes[first : first + k]
+        got = nb.build(primes, FLAT, model).moments()
+        want = convolution.build(primes, FLAT, model).moments()
+        assert got.mean_alpha == pytest.approx(want.mean_alpha, rel=1e-12)
+        assert got.mean_beta == pytest.approx(want.mean_beta, rel=1e-12)
+        assert got.var_alpha == pytest.approx(want.var_alpha, rel=1e-11)
+        assert got.var_beta == pytest.approx(want.var_beta, rel=1e-11)
 
     def test_accurate_past_cap(self, primes_small):
-        # The log-space convolution stays accurate well past K_CAP: compare
-        # the alpha mean at k=1024 with the same coefficients convolved and
-        # mixed in 40-digit arithmetic (measured relative error 1.1e-13).
+        # compare the alpha mean at k=1024 with the convolution's
+        # coefficients convolved and mixed in 40-digit arithmetic
         mp = pytest.importorskip("mpmath")
         primes = [int(p) for p in primes_small.primes[:1024]]
         k = len(primes)
@@ -113,6 +124,40 @@ class TestBuild:
             ]
             expected = mp.fsum(wr * (1 + r) for r, wr in enumerate(w)) / mp.fsum(w) / A
         assert post.moments().mean_alpha == pytest.approx(float(expected), rel=1e-12)
+
+    def test_far_prior_accepted(self, primes_small):
+        # b = 1e8 puts the mass near log(beta/alpha) = -19, far from 0
+        primes = primes_small.primes[:64]
+        hyper = Hyperparameters(0.0, 1e8, 1.0, 1.0)
+        post = nb.build(primes, hyper, RH_SQRT)
+        assert np.exp(post.log_w) @ post.u < -15
+        got, want = post.moments(), convolution.build(primes, hyper, RH_SQRT).moments()
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_window_refused(self, primes_small):
+        # xi = 1e-3 spreads the left tail over 4.8e4 in log(beta/alpha)
+        with pytest.raises(DomainError, match=r"beyond the window \[-600, 600\]"):
+            nb.build(primes_small.primes[:64], Hyperparameters(0.0, 0.0, 1.0, 1e-3), RH_SQRT)
+
+    def test_narrow_posterior_refused(self, primes_small):
+        # prior shapes of 2000 pin log(beta/alpha) to an sd near 0.03, far
+        # below what the rule's unit panels resolve
+        with pytest.raises(DomainError, match="narrower than the 0.4"):
+            nb.build(primes_small.primes[:64], Hyperparameters(0.0, 0.0, 2e3, 2e3), RH_SQRT)
+
+    def test_primes_at_pi_1e6(self, exact_at_1e6):
+        # flat prior, primes to 1e6 (from 3 for mt and x-over-log): the
+        # exact means of F1, to the digits given there
+        expected = {
+            "rh-sqrt": (0.99454, 0.0220),
+            "rh-eps:0.1": (0.99430, 0.0811),
+            "mt": (0.9118, 0.2142),
+            "x-over-log": (0.6334, 0.3965),
+        }
+        for label, (alpha, beta) in expected.items():
+            got = exact_at_1e6[label]
+            assert round(got.mean_alpha, 5 if alpha > 0.99 else 4) == alpha, label
+            assert round(got.mean_beta, 4) == beta, label
 
     def test_rejects_unordered(self):
         with pytest.raises(DomainError):
@@ -189,22 +234,32 @@ class TestMoments:
         assert post_k10.moments().mean_beta == pytest.approx(mb, rel=1e-10)
         assert post_k10.moments().var_alpha == pytest.approx(maa - ma**2, rel=1e-10)
 
-    def test_both_parameterizations_agree(self, post_k10):
-        r = np.arange(post_k10.state.k + 1, dtype=float)
-        # beta moments computed from the alpha-led weights must match the
-        # beta-led computation exactly: same density, re-expanded
-        w_p = np.exp(post_k10.log_w)
-        state = post_k10.state
-        beta_from_p = float(np.sum(w_p * (state.hyper.xi + state.k - r)) / state.sum_b2)
+    def test_both_parameterizations_agree(self, post_k10, primes_small):
+        # the oracle's beta mean from its alpha-led weights matches the
+        # exact engine's, which integrates over beta/alpha instead
+        primes = [int(p) for p in primes_small.primes[:10]]
+        oracle = convolution.build(primes, FLAT, RH_SQRT)
+        state = oracle.state
+        r = np.arange(state.k + 1, dtype=float)
+        beta_from_p = float(np.sum(oracle.w * (state.hyper.xi + state.k - r)) / state.sum_b2)
         assert post_k10.moments().mean_beta == pytest.approx(beta_from_p, rel=1e-12)
 
     def test_k1_equals_recursive(self):
+        # the oracle's k = 1 mixture is built with the recursive arithmetic
         state = rb.init(PROPER, RH_SQRT, 2)
-        post = nb.build([2], PROPER, RH_SQRT)
+        post = convolution.build([2], PROPER, RH_SQRT)
         assert post.moments().mean_alpha == rb.posterior_mean_alpha(state)
         assert post.moments().mean_beta == rb.posterior_mean_beta(state)
         assert post.moments().var_alpha == rb.posterior_var_alpha(state)
         assert post.moments().var_beta == rb.posterior_var_beta(state)
+
+    @pytest.mark.parametrize("model, first", MODELS, ids=[m.label for m, _ in MODELS])
+    def test_k1_engine_near_recursive(self, model, first, primes_small):
+        # measured: within 1.2e-15 relative for the four models
+        t = float(primes_small.primes[first])
+        got = nb.build([t], PROPER, model).moments()
+        want = rb.posterior(rb.init(PROPER, model, t)).moments()
+        np.testing.assert_allclose(got, want, rtol=4e-15)
 
 
 class TestPredictive:
@@ -238,6 +293,13 @@ class TestPredictive:
                 rb.log_posterior_predictive(state, t), abs=1e-12
             )
 
+    def test_matches_convolution(self, primes_small):
+        primes = primes_small.primes[:512]
+        post = nb.build(primes, FLAT, RH_SQRT)
+        oracle = convolution.build(primes, FLAT, RH_SQRT)
+        for t in (3673.0, 3700.0, 5000.0):
+            assert post.log_predictive(t) == pytest.approx(oracle.log_predictive(t), rel=1e-13)
+
     def test_model_ratio_positive_at_k50(self, primes_small):
         primes = [int(p) for p in primes_small.primes[1:51]]
         t_next = int(primes_small.primes[51])
@@ -266,10 +328,18 @@ class TestEquivalenceReport:
         primes = [int(p) for p in primes_small.primes[:10]]
         assert nb.equivalence_report(primes, FLAT, []) == []
 
-    def test_checkpoint_pastcap(self, primes_2e6):
-        primes = [int(p) for p in primes_2e6.primes[:4097]]
-        with pytest.raises(ResourceError):
-            nb.equivalence_report(primes, FLAT, [4097])
+    def test_rows_match_build_across_blocks(self, primes_small):
+        # the pass reads its sums in blocks of primes; rows before, at and
+        # after block edges, and after blocks with no checkpoint, equal the
+        # posteriors built one by one
+        primes = primes_small.primes[:300]
+        ks = [2, 3, 13, 14, 15, 16, 100, 250, 299, 300]
+        rows = nb.equivalence_report(primes, FLAT, ks + [0, 14])
+        assert [r.k for r in rows] == ks
+        for row in rows:
+            m = nb.build(primes[: row.k], FLAT, RH_SQRT).moments()
+            assert row.nonrec_mean_alpha == pytest.approx(m.mean_alpha, rel=1e-13)
+            assert row.nonrec_mean_beta == pytest.approx(m.mean_beta, rel=1e-13)
 
     def test_incremental_pass_matches_fixed_width_convolution(self, primes_small):
         # reference: every coefficient array held at full width k+1 and
