@@ -119,6 +119,19 @@ def _draw_targets(rng: np.random.Generator, total: float) -> np.ndarray:
     return sums[sums <= total]
 
 
+def _event_cells(grid_lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The grid cell of each sorted target: the last ``j`` with
+    ``grid_lam[j] <= target``, clipped to the ``len(grid_lam) - 1`` cells.
+
+    The targets are sorted, so one search per grid point among them gives
+    each cell's run of targets, where a search per target in the grid would
+    cost one per event.
+    """
+    cells = len(grid_lam) - 1
+    runs = np.diff(np.searchsorted(targets, grid_lam), prepend=0, append=len(targets))
+    return np.repeat(np.clip(np.arange(-1, cells + 1), 0, cells - 1), runs)
+
+
 def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t):
     """``Lambda((e^a, t])`` as ``integral_a^{log t} hazard(e^s) e^s ds``.
 
@@ -220,7 +233,7 @@ def simulate(
     c2 = 3.0 * rise - 2.0 * m0 - m1
     c3 = m0 + m1 - 2.0 * rise
 
-    idx = np.clip(np.searchsorted(grid_lam, targets, side="right") - 1, 0, cells - 1)
+    idx = _event_cells(grid_lam, targets)
     # the cumulative intensity each root still needs beyond its grid point
     rest = targets
     rest -= grid_lam[idx]

@@ -30,6 +30,7 @@ evaluate ``Li`` start without scipy.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -240,10 +241,16 @@ def error_integral_raw(model: ErrorBoundModel, x):
     return _ret(arr, np.exp(error_forms(model)[0](lg, np.log(lg))))
 
 
+@functools.lru_cache(maxsize=64)
+def _anchor(model: ErrorBoundModel) -> float:
+    """``F_raw(2)``, computed once per (frozen, hashable) model."""
+    return error_integral_raw(model, 2.0)
+
+
 def error_integral(model: ErrorBoundModel, x):
     """``F(x) - F(2)`` for ``x >= 2`` (anchored so stage sums telescope)."""
     arr = _check_min(x, 2.0, strict=False, what="error_integral")
-    return _ret(arr, error_integral_raw(model, arr) - error_integral_raw(model, 2.0))
+    return _ret(arr, error_integral_raw(model, arr) - _anchor(model))
 
 
 def signed_density(model: ErrorBoundModel, lg):

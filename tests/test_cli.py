@@ -4,6 +4,8 @@ import warnings
 import pytest
 
 import convolution
+import trial_factor
+from prime_oracle import pipeline
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import _read_config_file, build_parser, main
 from prime_oracle.pipeline import FILE_HEADER, load_records
@@ -65,6 +67,37 @@ class TestHuntCommands:
 
     def test_mersenne_requires_start(self):
         assert main(["mersenne", "--keep", "10", "--burnin", "0"]) == 2
+
+    @pytest.mark.parametrize("bits", ["99", "-5", "1", "49"])
+    def test_mersenne_bad_trial_factor_bits_exit_code(self, bits, capsys):
+        # refused before the chain runs, not once a visited prime reaches the screen
+        code = main(["mersenne", "--p0", "1000003", "--burnin", "0", "--keep", "1",
+                     "--trial-factor-bits", bits])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "[2, 48]" in captured.err
+        assert "Traceback" not in captured.err
+        assert "candidate exponents" not in captured.out
+
+    @pytest.mark.parametrize("p0, factored", [("1000037", 0), ("1001981", 1)])
+    def test_mersenne_trial_factoring_matches_scalar_oracle(
+        self, p0, factored, tmp_path, capsys, monkeypatch
+    ):
+        # the chain visits 1000039 (no factor below 2**38) from 1000037, and
+        # 1001983 (factor 306606799) and 1001989 from 1001981
+        argv = ["mersenne", "--p0", p0, "--burnin", "20000", "--keep", "20000",
+                "--trial-factor-bits", "38", "--seed", "5", "--out"]
+
+        def run(out):
+            assert main(argv + [str(out)]) == 0
+            return capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()
+
+        sweep = run(tmp_path / "sweep.jsonl")
+        monkeypatch.setattr(pipeline, "mersenne_small_factor", trial_factor.mersenne_small_factor)
+        scalar = run(tmp_path / "scalar.jsonl")
+        assert sweep == scalar
+        assert load_records(tmp_path / "sweep.jsonl")
+        assert (f"{factored} candidates removed by trial factoring" in sweep[0]) == bool(factored)
 
 
 class TestDiagnosticsCommands:

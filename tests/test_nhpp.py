@@ -117,6 +117,27 @@ class TestSimulate:
             assert np.all(np.diff(t) > 0)
             assert t[0] >= 2.0 and t[-1] <= 1e3
 
+    @pytest.mark.parametrize("model", [RH_SQRT, rh_eps(0.1), MT, X_OVER_LOG], ids=lambda m: m.label)
+    def test_event_cells_equal_a_search_per_event(self, model, monkeypatch):
+        seen = []
+
+        def recorded(grid_lam, targets):
+            idx = event_cells(grid_lam, targets)
+            seen.append((grid_lam, targets.copy(), idx))
+            return idx
+
+        event_cells = nhpp._event_cells
+        monkeypatch.setattr(nhpp, "_event_cells", recorded)
+        for beta in (0.0, 0.01, 1.0):
+            for horizon in (1e3, 1e6):
+                for seed in range(3):
+                    simulate(model, IntensityParams(1.0, beta), horizon, seed)
+        assert len(seen) == 18
+        for grid_lam, targets, idx in seen:
+            cells = len(grid_lam) - 1
+            per_event = np.searchsorted(grid_lam, targets, side="right") - 1
+            assert np.array_equal(idx, np.clip(per_event, 0, cells - 1))
+
     def test_deterministic_per_seed(self):
         a = simulate(MT, UNIT, 1e4, seed=7)
         b = simulate(MT, UNIT, 1e4, seed=7)

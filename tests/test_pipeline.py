@@ -1,11 +1,15 @@
 import json
 import math
+import pathlib
+import random
 import re
 
+import numpy as np
 import pytest
 
+from prime_oracle import pipeline
 from prime_oracle.errors import DomainError
-from prime_oracle.numtheory import mersenne_digit_count
+from prime_oracle.numtheory import is_prime_u64, mersenne_digit_count, primes_up_to
 from prime_oracle.pipeline import (
     FILE_HEADER,
     CandidateRecord,
@@ -23,8 +27,11 @@ from prime_oracle.pipeline import (
 from prime_oracle.tmcmc import HuntTarget, TargetKind, TmcmcConfig
 
 from test_numtheory import trial_division_is_prime
+from trial_factor import mersenne_small_factor as scalar_small_factor
 
 P0 = 999_983  # largest prime below 1e6
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+ODD_PRIMES_TO_3000 = primes_up_to(3000).primes[1:].tolist()
 
 
 class TestSolveK:
@@ -175,6 +182,76 @@ class TestMersenneSmallFactor:
     def test_bits_domain(self):
         with pytest.raises(DomainError):
             mersenne_small_factor(11, 1)
+
+    def test_composite_exponent_refused(self):
+        # the sweep strikes composite q, which is sound only for a prime p
+        with pytest.raises(DomainError, match="prime exponent"):
+            mersenne_small_factor(15, 20)
+
+    @pytest.mark.parametrize("bits", [12, 20])
+    def test_matches_scalar_oracle(self, bits):
+        for p in ODD_PRIMES_TO_3000:
+            assert mersenne_small_factor(p, bits) == scalar_small_factor(p, bits), p
+
+    def test_matches_scalar_oracle_at_30_bits(self):
+        # the scalar loop's answers, written by ``python tests/trial_factor.py``
+        # (it takes about a minute live)
+        expected = {}
+        for line in (DATA_DIR / "mersenne_factors_30bit.txt").read_text().splitlines():
+            if not line.startswith("#"):
+                p, q = line.split()
+                expected[int(p)] = None if q == "None" else int(q)
+        assert sorted(expected) == ODD_PRIMES_TO_3000
+        assert {p: mersenne_small_factor(p, 30) for p in expected} == expected
+
+    def test_matches_scalar_oracle_near_1e6(self):
+        exponents = [p for p in range(1_000_037, 1_001_000, 2) if is_prime_u64(p)][:40]
+        assert len(exponents) == 40
+        for p in exponents:
+            assert mersenne_small_factor(p, 38) == scalar_small_factor(p, 38), p
+
+    @pytest.mark.parametrize("p, q", [(11, 23), (23, 47), (83, 167), (1019, 2039)])
+    def test_divisor_equal_to_a_striking_prime(self, p, q):
+        # q is itself one of the small primes, which must not strike it
+        assert q < pipeline._TF_SMALL_PRIME_BOUND
+        assert mersenne_small_factor(p, 20) == scalar_small_factor(p, 20) == q
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_across_block_boundaries(self, block, monkeypatch):
+        monkeypatch.setattr(pipeline, "_TF_BLOCK", block)
+        bits = 12 if block == 1 else 16
+        for p in ODD_PRIMES_TO_3000:
+            assert mersenne_small_factor(p, bits) == scalar_small_factor(p, bits), p
+        if block == 1000:
+            for p in (1_000_037, 1_000_039):
+                assert mersenne_small_factor(p, 30) == scalar_small_factor(p, 30), p
+
+    def test_sqrt_cap(self):
+        # for p <= 2 * bits the bound is isqrt(2**p - 1): a prime 2**p - 1
+        # below 2**bits would otherwise be its own factor
+        assert mersenne_small_factor(31, 48) is None
+        for bits in range(2, 49):
+            for p in primes_up_to(min(2 * bits, 60)).primes.tolist():
+                assert mersenne_small_factor(p, bits) == scalar_small_factor(p, bits), (p, bits)
+
+    @pytest.mark.parametrize("bits", range(2, 49))
+    def test_pow2_mod(self, bits):
+        rng = random.Random(bits)
+        top = 1 << bits
+        qs = [q for q in range(max(top - 40, 3), top) if q % 2] + [
+            rng.randrange(3, top) | 1 for _ in range(40)
+        ]
+        q = np.array(qs, dtype=np.uint64)
+        for p in (2, 3, 31, 32, 1_000_039, 140_000_053, (1 << 47) - 115):
+            assert pipeline._pow2_mod(p, q, bits).tolist() == [pow(2, p, int(x)) for x in qs]
+
+    def test_44_bits_under_five_seconds(self):
+        import time
+
+        t0 = time.perf_counter()
+        mersenne_small_factor(1_000_039, 44)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 5.0, f"one 44-bit exponent took {elapsed:.1f}s"
 
 
 class TestResume:

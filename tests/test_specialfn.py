@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from prime_oracle import specialfn
 from prime_oracle.errors import DomainError
 from prime_oracle.specialfn import (
     MT,
@@ -101,6 +102,13 @@ class TestErrorIntegral:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
     def test_anchored_at_two(self, model):
         assert error_integral(model, 2.0) == 0.0
+
+    def test_anchor_computed_once_per_model(self):
+        specialfn._anchor.cache_clear()
+        for model in ALL_MODELS * 3:
+            error_integral(model, 10.0)
+            error_integral(model, np.array([2.0, 1e6]))
+        assert specialfn._anchor.cache_info().misses == len(ALL_MODELS)
 
     def test_x_over_log_closed_form(self):
         x = math.e**2
