@@ -119,21 +119,21 @@ def _validated(primes: Sequence[float], model: ErrorBoundModel) -> tuple[np.ndar
     return ts, f / li(ts)
 
 
-def _scan(q: np.ndarray, states: list[RecursionState]):
-    """Log node weights of ascending states sharing a prior, in one pass over the primes.
+def _scan(q: np.ndarray, state: RecursionState):
+    """Log node weights of a state's ascending stages, in one pass over the primes.
 
     The window in u is the README's: tails falling at rate xi left of ``c -
     log N`` and gamma right of ``c + log N``, ``c = log(A/B)``, cut where they
-    hold ``exp(-_TAIL)`` of the mass; unit panels cover every state's.  The
-    sums of ``log1p(rho q_i)`` run over blocks of primes, read at each state's
-    k.  Yields ``(at, u, lw, n, ra, rb_)``: log weights (quadrature weights
-    included) at the nodes ``u`` of ``states[at]``, and their N, A, B.
+    hold ``exp(-_TAIL)`` of the mass; unit panels cover every stage's.  The
+    sums of ``log1p(rho q_i)`` run over blocks of primes, read at each stage's
+    k.  Yields ``(u, lw, n, ra, rb_)`` for the next stages in order: log
+    weights (quadrature weights included) at the nodes ``u``, and their N, A, B.
     """
-    hyper = states[0].hyper
+    hyper = state.hyper
     if hyper.gamma <= 0.0 or hyper.xi <= 0.0:
         raise DomainError(f"improper posterior: prior shapes {hyper.gamma}, {hyper.xi}")
-    ra, rb_ = np.array([rb._checked_rates(s) for s in states]).T
-    ks = np.array([s.k for s in states])
+    ra, rb_ = np.atleast_1d(*rb._checked_rates(state))
+    ks = np.atleast_1d(state.k)
     n = hyper.gamma + hyper.xi + ks
     c, log_n = np.log(ra) - np.log(rb_), np.log(n)
     excess = _TAIL + 1.0 + 0.5 * (log_n - math.log(8.0 * math.pi))
@@ -165,7 +165,7 @@ def _scan(q: np.ndarray, states: list[RecursionState]):
         lw = terms[ks[at] - 1 - start]
         lw += base
         lw -= log1p_x
-        yield at, u, lw, n[at, None], ra[at, None], rb_[at, None]
+        yield u, lw, n[at, None], ra[at, None], rb_[at, None]
         first = last
 
 
@@ -188,7 +188,7 @@ def build(primes: Sequence[float], hyper: Hyperparameters,
     """Exact posterior given ascending primes ``t_1..t_k``."""
     ts, q = _validated(primes, model)
     state = rb.state_at(hyper, model, ts.size, ts[-1])
-    [(_, u, lw, *_)] = _scan(q, [state])
+    [(u, lw, *_)] = _scan(q, state)
     _, log_z = _weights(lw[0], u)
     return ExactPosterior(state, q, u, lw[0] - log_z, float(log_z))
 
@@ -216,7 +216,8 @@ def equivalence_report(primes: Sequence[float], hyper: Hyperparameters, checkpoi
     """Recursive vs exact posterior means at the requested stage counts.
 
     The routes share every prime and the stage rates, so the rows show how
-    fast the recursion's extra shape inflation washes out; the exact side
+    fast the recursion's extra shape inflation washes out.  The recursive
+    side is one array evaluation for all checkpoints, and the exact side
     reads every checkpoint off one pass.  Checkpoints below 1 give no row.
     """
     cps = sorted(int(c) for c in checkpoints)
@@ -225,11 +226,12 @@ def equivalence_report(primes: Sequence[float], hyper: Hyperparameters, checkpoi
     if not cps or cps[-1] < 1:
         return []
     ts, q = _validated(primes[: cps[-1]], model)
-    states = [rb.state_at(hyper, model, k, ts[k - 1]) for k in sorted(set(cps)) if k >= 1]
-    rec = [rb.posterior(s).moments() for s in states]
-    rows = []
-    for at, u, lw, n, ra, rb_ in _scan(q, states):
-        _, means = _means(_weights(lw, u)[0], np.exp(u), n, ra, rb_)
-        rows += [EquivalenceRow(s.k, s.t_last, r.mean_alpha, ea, r.mean_beta, eb)
-                 for s, r, ea, eb in zip(states[at], rec[at], *(m.tolist() for m in means))]
-    return rows
+    ks = np.unique(cps)
+    ks = ks[ks >= 1]
+    state = rb.state_at(hyper, model, ks, ts[ks - 1])
+    rec = rb.posterior(state).moments()
+    exact = [_means(_weights(lw, u)[0], np.exp(u), n, ra, rb_)[1]
+             for u, lw, n, ra, rb_ in _scan(q, state)]
+    ea, eb = (np.concatenate(m) for m in zip(*exact))
+    columns = (ks, state.t_last, rec.mean_alpha, ea, rec.mean_beta, eb)
+    return [EquivalenceRow(*row) for row in zip(*(c.tolist() for c in columns))]

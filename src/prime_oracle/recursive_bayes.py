@@ -7,8 +7,10 @@ densities no matter how large k grows.  The accumulated sufficient statistics
 telescope: the alpha-rate is ``a + Li(t_k)`` and the beta-rate is
 ``b + F(t_k)`` for the chosen error-bound integral F.  So :func:`state_at`
 evaluates any stage in closed form from ``k`` and ``t_k`` alone; ``init`` and
-``update`` are thin wrappers over it, and a trajectory costs one evaluation
-per checkpoint rather than one update per prime.
+``update`` are thin wrappers over it.  ``k`` and ``t_k`` may also be arrays,
+one entry per stage, and :func:`posterior` and the moments follow them, so a
+trajectory costs one array evaluation for all checkpoints rather than one
+update per prime.
 
 The stage-k posterior is the exact one-prime posterior under the prior
 advanced k-1 stages: :func:`posterior` gives it as a two-component
@@ -66,14 +68,16 @@ class RecursionState:
     """Sufficient statistics of the stage-k posterior.
 
     ``sum_b1`` and ``sum_b2`` include the prior rates, so they equal
-    ``a + Li(t_last)`` and ``b + F(t_last)`` respectively.
+    ``a + Li(t_last)`` and ``b + F(t_last)`` respectively.  A state of
+    several stages holds equal-shape arrays in ``k``, ``sum_b1``, ``sum_b2``
+    and ``t_last``, one entry per stage.
     """
 
-    k: int
+    k: int | np.ndarray
     hyper: Hyperparameters
-    sum_b1: float
-    sum_b2: float
-    t_last: float
+    sum_b1: float | np.ndarray
+    sum_b2: float | np.ndarray
+    t_last: float | np.ndarray
     model: ErrorBoundModel
 
 
@@ -93,23 +97,37 @@ def _checked_hyper(hyper: Hyperparameters) -> Hyperparameters:
     return hyper
 
 
+def _refuse(bad, message: str, *values) -> None:
+    """Raise ``DomainError(message.format(*values))`` with each of ``values``
+    (broadcast against ``bad``) taken at the first stage where ``bad`` holds."""
+    if np.count_nonzero(bad):
+        bad = np.asarray(bad)
+        at = int(np.argmax(bad))
+        raise DomainError(message.format(
+            *(np.broadcast_to(v, bad.shape).flat[at].item() for v in values)))
+
+
 def state_at(
-    hyper: Hyperparameters, model: ErrorBoundModel, k: int, t_k: float
+    hyper: Hyperparameters, model: ErrorBoundModel, k, t_k
 ) -> RecursionState:
     """Closed-form stage-k state after conditioning on ``k`` primes ending at ``t_k``.
 
     The stage sums telescope, so the state depends on the primes only
     through ``k`` and the last one: the rates are ``a + Li(t_k)`` and
-    ``b + F(t_k)``.
+    ``b + F(t_k)``.  Scalar ``k`` and ``t_k`` give an int and floats;
+    equal-shape arrays give a state of as many stages, every check naming
+    the first stage that fails it.
     """
     hyper = _checked_hyper(hyper)
-    t_k = float(t_k)
-    if not t_k >= 2.0:  # also refuses NaN
-        raise DomainError(f"primes must be >= 2, got {t_k}")
-    if k < 1:
-        raise DomainError(f"stage count must be >= 1, got {k}")
-    return RecursionState(k=int(k), hyper=hyper, sum_b1=hyper.a + Li(t_k),
-                          sum_b2=hyper.b + error_integral(model, t_k), t_last=t_k, model=model)
+    ks, ts = np.asarray(k), np.asarray(t_k, dtype=float)
+    if ks.shape != ts.shape:
+        raise DomainError(f"stage counts and primes differ in shape: {ks.shape}, {ts.shape}")
+    _refuse(~(ts >= 2.0), "primes must be >= 2, got {}", ts)  # also refuses NaN
+    _refuse(ks < 1, "stage count must be >= 1, got {}", ks)
+    sum_b1, sum_b2 = hyper.a + Li(ts), hyper.b + error_integral(model, ts)
+    ks = ks.astype(int) if ks.ndim else int(ks)
+    return RecursionState(k=ks, hyper=hyper, sum_b1=sum_b1, sum_b2=sum_b2,
+                          t_last=ts if ts.ndim else float(ts), model=model)
 
 
 def init(hyper: Hyperparameters, model: ErrorBoundModel, t1: float) -> RecursionState:
@@ -138,7 +156,9 @@ class GammaProductMixture(NamedTuple):
     The stage-k posterior of the recursive engine.  ``state`` supplies the
     rates ``A = sum_b1`` and ``B = sum_b2`` together with the model, prior
     and last prime that the predictive extends from; ``w`` are the
-    normalized weights and ``log_w`` their logs.
+    normalized weights and ``log_w`` their logs.  The last axis of ``w``,
+    ``log_w`` and the shapes runs over the two components, the others over
+    the stages of ``state``; the predictive and the density take one stage.
     """
 
     state: RecursionState
@@ -151,14 +171,15 @@ class GammaProductMixture(NamedTuple):
         """The posterior means and variances of alpha and beta.
 
         Each variance is ``(E_w[s] + Var_w[s]) / rate**2`` over the component
-        shapes s: non-negative summands, free of ``E[x**2] - E[x]**2``.
+        shapes s: non-negative summands, free of ``E[x**2] - E[x]**2``.  Floats
+        for one stage, arrays over the stages of a batched state.
         """
-        out: list[float] = []
+        out = []
         for shape, rate in ((self.shape_a, self.state.sum_b1), (self.shape_b, self.state.sum_b2)):
-            mean_shape = float(self.w @ shape)
-            spread = float(self.w @ (shape - mean_shape) ** 2)
+            mean_shape = np.vecdot(self.w, shape)
+            spread = np.vecdot(self.w, (shape - mean_shape[..., None]) ** 2)
             out += [mean_shape / rate, (mean_shape + spread) / rate**2]
-        return Moments(*out)
+        return Moments(*(x if x.ndim else float(x) for x in out))
 
     def log_predictive(self, t: float) -> float:
         """Log density of the next prime's position at ``t > t_last``.
@@ -228,15 +249,15 @@ def _gap_rule(t0: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + half + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def _checked_rates(state: RecursionState) -> tuple[float, float]:
+def _checked_rates(state: RecursionState):
     """The rates ``(A, B)`` of ``state``, refused where a posterior on them is improper."""
     ra, rb = state.sum_b1, state.sum_b2
-    if ra <= 0.0 or rb <= 0.0:
-        raise DomainError("improper posterior: non-positive rate (the accumulated integrals "
-                          "are empty or negative this close to the support edge)")
-    if max(ra, rb) > _RATE_CEILING or min(ra, rb) < 1.0 / _RATE_CEILING:
-        raise DomainError(f"posterior rates {ra:g}, {rb:g} lie outside [2**-510, 2**510], "
-                          "beyond which their squares leave the float range")
+    _refuse((ra <= 0.0) | (rb <= 0.0), "improper posterior: non-positive rate (the accumulated "
+            "integrals are empty or negative this close to the support edge)")
+    floor = 1.0 / _RATE_CEILING
+    _refuse((ra > _RATE_CEILING) | (rb > _RATE_CEILING) | (ra < floor) | (rb < floor),
+            "posterior rates {:g}, {:g} lie outside [2**-510, 2**510], beyond which their "
+            "squares leave the float range", ra, rb)
     return ra, rb
 
 
@@ -249,29 +270,31 @@ def posterior(state: RecursionState) -> GammaProductMixture:
     Gamma(a0+r) / A**(a0+r) * Gamma(b0+1-r) / B**(b0+1-r)``.  The log weights,
     of order ``k log k``, are normalized by their maximum, not their log-sum,
     which would leave the weights summing to 1 only within ``k log k`` ulps.
+    A state of several stages gives their mixtures in one, the components on
+    the last axis.
     """
     from scipy.special import gammaln
 
-    c2 = error_density(state.model, state.t_last)
-    if c2 <= 0.0:
-        raise DomainError(
-            f"error density is not positive at t={state.t_last:g}; start the "
-            f"recursion at {positive_density_floor(state.model)} or later"
-        )
+    t = state.t_last
+    c2 = error_density(state.model, t)
+    _refuse(c2 <= 0.0, "error density is not positive at t={:g}; start the recursion at {} "
+            "or later", t, positive_density_floor(state.model))
     advanced = state.k - 1
     a0, b0 = state.hyper.gamma + advanced, state.hyper.xi + advanced
-    if a0 <= 0.0 or b0 <= 0.0:
-        raise DomainError(f"improper posterior component: base shapes {a0}, {b0}")
+    _refuse((a0 <= 0.0) | (b0 <= 0.0), "improper posterior component: base shapes {}, {}",
+            a0, b0)
     ra, rb = _checked_rates(state)
-    log_c = np.array((math.log(c2), math.log(li(state.t_last))))
+    coeffs = np.empty(np.shape(t) + (2,))
+    coeffs[..., 0], coeffs[..., 1] = c2, li(t)
+    log_c = np.log(coeffs)
     r = np.arange(2, dtype=float)
-    shape_a, shape_b = a0 + r, b0 + 1 - r
-    lw = (log_c + gammaln(shape_a) - shape_a * math.log(ra)
-          + gammaln(shape_b) - shape_b * math.log(rb))
-    lw = lw - lw.max()
+    shape_a, shape_b = np.add.outer(a0, r), np.subtract.outer(b0 + 1, r)
+    lw = (log_c + gammaln(shape_a) - shape_a * np.log(ra)[..., None]
+          + gammaln(shape_b) - shape_b * np.log(rb)[..., None])
+    lw = lw - lw.max(axis=-1, keepdims=True)
     w = np.exp(lw)
-    total = w.sum()
-    return GammaProductMixture(state, w / total, lw - math.log(total), shape_a, shape_b)
+    total = w.sum(axis=-1, keepdims=True)
+    return GammaProductMixture(state, w / total, lw - np.log(total), shape_a, shape_b)
 
 
 def posterior_mean_alpha(state: RecursionState) -> float:
@@ -306,7 +329,8 @@ def trajectory(
     Each row is the closed-form state after the largest prime not exceeding
     its x-threshold; a checkpoint below the first usable prime gives no row.
     Primes below the model's positive-density floor (2 for ``X_OVER_LOG`` and
-    ``MT``) are skipped so every mixture coefficient stays positive.
+    ``MT``) are skipped so every mixture coefficient stays positive.  The
+    rows come from one array evaluation for all checkpoints.
     """
     ts = np.asarray(primes, dtype=float)
     cps = np.sort(np.asarray(checkpoints, dtype=float))
@@ -321,14 +345,11 @@ def trajectory(
     ts = ts[ts >= positive_density_floor(model)]
     if ts.size == 0:
         return []
-    hyper = _checked_hyper(hyper)
-    rows: list[TrajectoryRow] = []
-    for k in np.searchsorted(ts, cps, side="right").tolist():
-        if k == 0:
-            continue
-        state = state_at(hyper, model, k, ts[k - 1])
-        rows.append(TrajectoryRow(state.k, state.t_last, *posterior(state).moments()))
-    return rows
+    ks = np.searchsorted(ts, cps, side="right")
+    ks = ks[ks > 0]
+    state = state_at(hyper, model, ks, ts[ks - 1])
+    columns = (state.k, state.t_last, *posterior(state).moments())
+    return [TrajectoryRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def asymptotic_form_table(k_values: Sequence[int]) -> list[tuple[int, float, float]]:

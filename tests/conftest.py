@@ -1,4 +1,6 @@
+import collections
 import pathlib
+import sys
 
 import pytest
 
@@ -40,3 +42,26 @@ def primes_small():
 @pytest.fixture(scope="session")
 def candidate_exponent_file():
     return DATA_DIR / "candidate_exponents.txt"
+
+
+@pytest.fixture
+def specialfn_calls(monkeypatch):
+    """Calls to ``specialfn.Li`` and ``specialfn.error_density``, counted by name.
+
+    Each function is wrapped under every ``prime_oracle`` module attribute
+    bound to it, since the engines import them by name.
+    """
+    from prime_oracle import specialfn
+
+    counts = collections.Counter()
+    for name in ("Li", "error_density"):
+        fn = getattr(specialfn, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "prime_oracle" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts

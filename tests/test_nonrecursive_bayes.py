@@ -374,6 +374,24 @@ class TestEquivalenceReport:
             assert row.nonrec_mean_alpha == pytest.approx(mean_a, rel=1e-12)
             assert row.nonrec_mean_beta == pytest.approx(mean_b, rel=1e-12)
 
+    def test_one_array_pass_for_all_checkpoints(self, primes_small, specialfn_calls):
+        # a loop over stages would call Li and the density once per row
+        calls = []
+        for k_max in (8, 64):
+            specialfn_calls.clear()
+            rows = nb.equivalence_report(primes_small.primes[:k_max], FLAT, range(2, k_max + 1))
+            assert len(rows) == k_max - 1
+            calls.append(dict(specialfn_calls))
+        assert calls[0] == calls[1]
+        assert calls[0]["Li"] >= 1 and calls[0]["error_density"] >= 1
+
+    def test_refusal_names_first_bad_stage(self):
+        # the message the per-stage loop gave for its first (k = 1) stage
+        with pytest.raises(DomainError) as info:
+            nb.equivalence_report([2, 3, 5, 7], Hyperparameters(1.0, 1e-200, 1.0, 1.0), [1, 2, 3])
+        assert str(info.value) == ("posterior rates 1, 1e-200 lie outside [2**-510, 2**510], "
+                                   "beyond which their squares leave the float range")
+
     def test_cap_keyword(self, primes_small):
         primes = [int(p) for p in primes_small.primes[:128]]
         [row] = nb.equivalence_report(primes, FLAT, [128])

@@ -25,7 +25,41 @@ from prime_oracle.specialfn import (
 )
 
 FLAT = Hyperparameters()  # a=b=0, gamma=xi=1
+PROPER = Hyperparameters(1.0, 1.0, 1.0, 1.0)
 ALL_MODELS = (RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT)
+#: The flat prior or a proper one (positive rates and shapes).
+PRIORS = st.one_of(
+    st.just(FLAT),
+    st.builds(Hyperparameters, *[st.floats(min_value=0.01, max_value=100.0)] * 4),
+)
+#: Ascending stages ``(k, t_k)`` as steps: k by 1 to 10**5, log t by 0 to 3,
+#: from a first prime of 5 to 1e9, where every model's density and rates
+#: are positive.
+STAGES = st.tuples(
+    st.floats(min_value=5.0, max_value=1e9),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=10**5),
+                       st.floats(min_value=0.0, max_value=3.0)), min_size=1, max_size=8),
+)
+
+
+def stage_arrays(stages):
+    """``(ks, ts)`` arrays of the ascending stages that ``STAGES`` drew."""
+    t0, steps = stages
+    k_steps, log_steps = zip(*steps)
+    return np.cumsum(k_steps), t0 * np.exp(np.cumsum(log_steps))
+
+
+def assert_means_bounded(m, hyper, model, k, t_k):
+    """The stage-k shapes are gamma+k-1 and gamma+k for alpha (xi+k-1 and
+    xi+k for beta) whatever the primes, so each mean is a shape between those
+    over its rate, entry by entry: the beta trajectory is pi(x) / F(x) up to
+    O(1/k); the weights sum to 1 within an ulp, hence the 1e-15 slack."""
+    for mean, offset, rate in (
+        (m.mean_alpha, hyper.gamma, hyper.a + Li(t_k)),
+        (m.mean_beta, hyper.xi, hyper.b + error_integral(model, t_k)),
+    ):
+        lo, hi = (offset + k - 1) / rate, (offset + k) / rate
+        assert np.all((lo * (1 - 1e-15) <= mean) & (mean <= hi * (1 + 1e-15)))
 
 
 def folded_states(model, primes, hyper):
@@ -269,23 +303,21 @@ class TestMoments:
     )
     @settings(max_examples=200, deadline=None)
     def test_means_bounded_by_count_and_rates(self, model, k, t_k, hyper):
-        # the stage-k shapes are gamma+k-1 and gamma+k for alpha (xi+k-1 and
-        # xi+k for beta) whatever the primes, so each mean is a shape between
-        # those over its rate: the beta trajectory is pi(x) / F(x) up to
-        # O(1/k); the weights sum to 1 within an ulp, hence the 1e-15 slack
         hyper = Hyperparameters(*hyper)
         assume(t_k >= positive_density_floor(model))
         assume(min(hyper.gamma, hyper.xi) + k - 1 > 0)
         state = rb.state_at(hyper, model, k, t_k)
         # outside this range the posterior is refused, see test_extreme_rates_refused
         assume(all(2.0**-510 <= r <= 2.0**510 for r in (state.sum_b1, state.sum_b2)))
-        m = rb.posterior(state).moments()
-        for mean, offset, rate in (
-            (m.mean_alpha, hyper.gamma, hyper.a + Li(t_k)),
-            (m.mean_beta, hyper.xi, hyper.b + error_integral(model, t_k)),
-        ):
-            lo, hi = (offset + k - 1) / rate, (offset + k) / rate
-            assert lo * (1 - 1e-15) <= mean <= hi * (1 + 1e-15)
+        assert_means_bounded(rb.posterior(state).moments(), hyper, model, k, t_k)
+
+    @given(model=st.sampled_from(ALL_MODELS), hyper=PRIORS, stages=STAGES)
+    @settings(max_examples=200, deadline=None)
+    def test_means_bounded_on_batched_state(self, model, hyper, stages):
+        ks, ts = stage_arrays(stages)
+        m = rb.posterior(rb.state_at(hyper, model, ks, ts)).moments()
+        assert all(col.shape == ks.shape for col in m)
+        assert_means_bounded(m, hyper, model, ks, ts)
 
     def test_million_scale_alpha(self, primes_2e6):
         primes = primes_2e6.primes[primes_2e6.primes <= 10**6]
@@ -329,6 +361,58 @@ class TestMoments:
             means[model.label] = rb.posterior_mean_beta(s)
         assert 5.0 <= means["rh-sqrt"] <= 6.5
         assert 1.05 <= means["x-over-log"] <= 1.12
+
+
+class TestBatchedStages:
+    @given(model=st.sampled_from(ALL_MODELS), hyper=PRIORS, stages=STAGES)
+    @settings(max_examples=200, deadline=None)
+    def test_batched_equals_scalar(self, model, hyper, stages):
+        # a batched state is the stages' 0-d states side by side: each row of
+        # its moments is the scalar call's within 4 ulps
+        ks, ts = stage_arrays(stages)
+        batched = rb.posterior(rb.state_at(hyper, model, ks, ts)).moments()
+        for i, (k, t_k) in enumerate(zip(ks.tolist(), ts.tolist())):
+            scalar = rb.posterior(rb.state_at(hyper, model, k, t_k)).moments()
+            assert all(type(v) is float for v in scalar)
+            got, want = np.array([col[i] for col in batched]), np.array(scalar)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_scalar_state_holds_python_numbers(self):
+        s = rb.state_at(FLAT, RH_SQRT, np.int64(5), np.float64(11.0))
+        assert [type(v) for v in (s.k, s.t_last, s.sum_b1, s.sum_b2)] == [int, float, float, float]
+        batched = rb.state_at(FLAT, RH_SQRT, [5], [11.0])
+        assert batched.k.tolist() == [5] and batched.sum_b1.tolist() == [s.sum_b1]
+
+    def test_unequal_shapes_refused(self):
+        with pytest.raises(DomainError, match="differ in shape"):
+            rb.state_at(FLAT, RH_SQRT, [1, 2], [3.0])
+
+    # each message as the per-stage loop gave it for the first offending stage
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: rb.state_at(FLAT, RH_SQRT, [1, 2, 3], [3.0, math.nan, 1.0]),
+             "primes must be >= 2, got nan"),
+            (lambda: rb.state_at(FLAT, RH_SQRT, [2, 0, -1], [3.0, 5.0, 7.0]),
+             "stage count must be >= 1, got 0"),
+            (lambda: rb.posterior(rb.state_at(PROPER, MT, [1, 2], [2.0, 3.0])),
+             "error density is not positive at t=2; start the recursion at 3 or later"),
+            (lambda: rb.trajectory(RH_SQRT, [2, 3, 5, 7], Hyperparameters(1.0, 1.0, 0.0, 1.0),
+                                   [2, 10]),
+             "improper posterior component: base shapes 0.0, 1.0"),
+            (lambda: rb.trajectory(RH_SQRT, [2, 3, 5, 7], FLAT, [2, 10]),
+             "improper posterior: non-positive rate (the accumulated integrals are empty or "
+             "negative this close to the support edge)"),
+            (lambda: rb.trajectory(X_OVER_LOG, [3, 5, 1e159, 1e160], FLAT, [10, 1e159, 1e160]),
+             "posterior rates 2.73891e+156, 2.73141e+156 lie outside [2**-510, 2**510], "
+             "beyond which their squares leave the float range"),
+        ],
+        ids=["nan-prime", "stage-count", "density", "base-shapes", "zero-rate", "rate-range"],
+    )
+    def test_refusals_name_first_bad_stage(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestPredictive:
@@ -489,6 +573,18 @@ class TestTrajectory:
     def test_rejects_negative_hyper(self, checkpoints, primes_small):
         with pytest.raises(DomainError):
             rb.trajectory(RH_SQRT, primes_small.primes, Hyperparameters(a=-1.0), checkpoints)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+    def test_one_array_pass_for_all_checkpoints(self, model, primes_small, specialfn_calls):
+        # a loop over checkpoints would call Li and the density once per row
+        calls = []
+        for n in (5, 50):
+            specialfn_calls.clear()
+            rows = rb.trajectory(model, primes_small.primes, FLAT, np.geomspace(10, 10**4, n))
+            assert len(rows) == n
+            calls.append(dict(specialfn_calls))
+        assert calls[0] == calls[1]
+        assert calls[0]["Li"] >= 1 and calls[0]["error_density"] >= 1
 
     def test_checkpoint_below_first_usable_prime(self, primes_small):
         # MT starts at 3, so a checkpoint at 2.5 has no state yet
