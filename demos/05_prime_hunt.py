@@ -23,6 +23,7 @@ result = hunt_general(plan)
 for rec in result.records:
     print(f"  found {rec.value}  (target {rec.target_kind}, iteration {rec.iteration_found})")
 print(f"  target overlap: {result.stats.intersection_report()}")
+print(f"  {result.stats.summary()}")
 
 print("\nhunting candidate Mersenne exponents above the twin prime 1000037...")
 mers = hunt_mersenne(
@@ -30,6 +31,7 @@ mers = hunt_mersenne(
 )
 for rec in mers.records:
     print(f"  candidate exponent {rec.value}: 2^{rec.value}-1 has {rec.digit_count} digits")
+print(f"  {mers.stats.summary()}")
 
 values_file = workdir / "values.txt"
 values_file.write_text("".join(f"{rec.value}\n" for rec in result.records))

@@ -121,6 +121,7 @@ def _cmd_hunt(args) -> int:
     report = result.stats.intersection_report()
     if report:
         print(f"target overlap: {report}")
+    print(result.stats.summary())
     if args.out:
         print(f"appended to {args.out}")
     return 0
@@ -158,6 +159,7 @@ def _cmd_mersenne(args) -> int:
         print(f"  {rec.value}  ({rec.digit_count} digits if Mersenne)")
     if result.stats.factored_out:
         print(f"{result.stats.factored_out} candidates removed by trial factoring")
+    print(result.stats.summary())
     if args.out:
         print(f"appended to {args.out}")
     return 0

@@ -398,11 +398,7 @@ def test_criterion_11_kernel_exactness():
 
     cfg = TmcmcConfig(seed=2024)
     chain = TmcmcChain(0.3, seed=cfg.seed)
-    samples = np.fromiter(
-        (z for _, z, _ in run_steps(chain, lambda z: -0.5 * z * z, cfg, 10**6)),
-        dtype=float,
-        count=10**6,
-    )
+    samples = np.array(run_steps(chain, lambda z: -0.5 * z * z, cfg, 10**6))
     sorted_z = np.sort(samples)
     grid = np.arange(1, len(sorted_z) + 1) / len(sorted_z)
     cdf = norm.cdf(sorted_z)

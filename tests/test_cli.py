@@ -8,9 +8,10 @@ import trial_factor
 from prime_oracle import pipeline
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import _read_config_file, build_parser, main
-from prime_oracle.pipeline import FILE_HEADER, load_records
+from prime_oracle.pipeline import FILE_HEADER, HuntPlan, hunt_general, load_records
 from prime_oracle.recursive_bayes import Hyperparameters
 from prime_oracle.specialfn import RH_SQRT
+from prime_oracle.tmcmc import TmcmcConfig
 
 
 def read_csv(path):
@@ -33,6 +34,8 @@ class TestHuntCommands:
         captured = capsys.readouterr().out
         assert "new prime records" in captured
         assert "target overlap" in captured
+        stats = hunt_general(HuntPlan(p0=999983, iterations=30000, config=TmcmcConfig(seed=42))).stats
+        assert stats.summary() in captured.splitlines()
 
     def test_mersenne_from_results(self, tmp_path, capsys):
         general = tmp_path / "records.jsonl"
@@ -58,6 +61,7 @@ class TestHuntCommands:
         assert code == 0
         for rec in load_records(out):
             assert rec.iteration_found > 100000
+        assert "chain: 200000 iterations, accept rate add " in capsys.readouterr().out
 
     def test_mersenne_from_torn_results_exit_code(self, tmp_path, capsys):
         general = tmp_path / "records.jsonl"

@@ -24,14 +24,21 @@ from prime_oracle.pipeline import (
     verify_file,
     write_records,
 )
-from prime_oracle.tmcmc import HuntTarget, TargetKind, TmcmcConfig
+from prime_oracle.tmcmc import HuntTarget, TargetKind, TmcmcChain, TmcmcConfig, run_steps
 
+from collect import collect_candidates as oracle_collect
 from test_numtheory import trial_division_is_prime
 from trial_factor import mersenne_small_factor as scalar_small_factor
 
 P0 = 999_983  # largest prime below 1e6
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 ODD_PRIMES_TO_3000 = primes_up_to(3000).primes[1:].tolist()
+KINDS = list(TargetKind)
+U64_MAX_PRIME = (1 << 64) - 59
+
+
+def _target(kind, p0=P0):
+    return HuntTarget(kind, p0, solve_k(p0))
 
 
 class TestSolveK:
@@ -104,6 +111,31 @@ class TestHuntGeneral:
         _, out, _ = general_hunt
         loaded = load_records(out)
         assert {r.value for r in loaded} == {r.value for r in general_hunt[0].records}
+
+
+class TestHuntStats:
+    def test_chain_counters_sum_both_chains(self, general_hunt):
+        stats = general_hunt[0].stats
+        chains = [
+            collect_candidates(_target(kind), TmcmcConfig(seed=42 + offset), 30_000)
+            for offset, kind in enumerate((TargetKind.GENERAL_H1, TargetKind.GENERAL_H2))
+        ]
+        for name in ("proposals_add", "accepts_add", "proposals_mult", "accepts_mult",
+                     "auto_rejects"):
+            assert getattr(stats, name) == sum(getattr(c.chain, name) for c in chains), name
+        assert stats.skipped_small == sum(c.skipped_small for c in chains) > 0
+        assert stats.proposals_add + stats.proposals_mult == stats.iterations == 60_000
+
+    def test_summary_line(self):
+        stats = pipeline.HuntStats(
+            iterations=10, skipped_small=3, skipped_oversize=1, proposals_add=4,
+            accepts_add=1, proposals_mult=6, accepts_mult=6, auto_rejects=2,
+        )
+        assert stats.summary() == (
+            "chain: 10 iterations, accept rate add 0.250 mult 1.000, 2 auto-rejects; "
+            "skipped 3 small, 1 oversize"
+        )
+        assert "add n/a mult n/a" in pipeline.HuntStats().summary()
 
 
 class TestHuntGeneralRounds:
@@ -268,6 +300,91 @@ class TestResume:
         for value, it in second.visited.items():
             merged.setdefault(value, it)
         assert merged == whole.visited
+
+
+def _same(result, expected):
+    """Visited map, skip counts and the whole chain state (RNG included) agree."""
+    assert result.visited == expected.visited
+    assert result.skipped_small == expected.skipped_small
+    assert result.skipped_oversize == expected.skipped_oversize
+    assert result.chain.snapshot() == expected.chain.snapshot()
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Shrink the collection block to 1000 steps and record every block run."""
+    sizes = []
+
+    def recorded(*args):
+        zs = run_steps(*args)
+        sizes.append(len(zs))
+        return zs
+
+    monkeypatch.setattr(pipeline, "_CHAIN_BLOCK", 1000)
+    monkeypatch.setattr(pipeline, "run_steps", recorded)
+    return sizes
+
+
+class TestCollectCandidates:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("burn_in", [0, 2345, 3000], ids=["none", "mid-block", "block-edge"])
+    def test_matches_per_step_oracle(self, kind, burn_in, block_sizes):
+        target, cfg = _target(kind), TmcmcConfig(seed=21)
+        result = collect_candidates(target, cfg, 5500, burn_in=burn_in)
+        _same(result, oracle_collect(target, cfg, 5500, burn_in=burn_in))
+        assert result.chain.iteration == 5500
+        # 5500 steps in blocks of at most 1000: six blocks held one at a time
+        assert block_sizes == [1000] * 5 + [500]
+        if burn_in:
+            assert min(result.visited.values()) > burn_in
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_resume_from_mid_block_snapshot(self, kind, block_sizes):
+        target, cfg = _target(kind), TmcmcConfig(seed=22)
+        snap = collect_candidates(target, cfg, 2500).chain.snapshot()
+        # the burn-in ends inside the first resumed block, 2500 steps in
+        resumed = collect_candidates(target, cfg, 3700, burn_in=2900, snapshot=snap)
+        _same(resumed, oracle_collect(target, cfg, 3700, burn_in=2900, snapshot=snap))
+        assert resumed.chain.iteration == 6200
+        assert min(resumed.visited.values()) > 2900
+        whole = collect_candidates(target, cfg, 6200, burn_in=2900)
+        assert resumed.visited == whole.visited
+        assert resumed.chain.snapshot() == whole.chain.snapshot()
+
+    def test_default_block_spans_a_partial_block(self):
+        # 70000 steps: one full default block and a partial one
+        target, cfg = _target(TargetKind.GENERAL_H2), TmcmcConfig(seed=23)
+        _same(
+            collect_candidates(target, cfg, 70_000, burn_in=65_000),
+            oracle_collect(target, cfg, 70_000, burn_in=65_000),
+        )
+
+    def test_skipped_small_pinned(self):
+        # at p0 = 999983 the Mersenne chain spends most of its time at exp(z) < 2
+        target, cfg = _target(TargetKind.MERSENNE_H1), TmcmcConfig(seed=24)
+        result = collect_candidates(target, cfg, 20_000)
+        _same(result, oracle_collect(target, cfg, 20_000))
+        assert result.skipped_small > 10_000
+        assert result.skipped_oversize == 0
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_exact_integer_path(self, kind):
+        # started at z = 100, the chain falls back through
+        # exp(z) >= 2**64 (oversize) and [2**53, 2**64) (exact-integer values)
+        target, cfg = _target(kind), TmcmcConfig(seed=25)
+        snap = TmcmcChain(100.0, seed=25).snapshot()
+        result = collect_candidates(target, cfg, 3000, snapshot=snap)
+        _same(result, oracle_collect(target, cfg, 3000, snapshot=snap))
+        assert result.skipped_oversize > 0
+        assert any(value >= (1 << 53) + P0 for value in result.visited)
+
+    def test_oversize_next_to_u64_limit(self):
+        # from the largest u64 prime, every floor(exp(z)) >= 59 runs past 2**64
+        target, cfg = _target(TargetKind.GENERAL_H1, U64_MAX_PRIME), TmcmcConfig(seed=26)
+        result = collect_candidates(target, cfg, 5000)
+        _same(result, oracle_collect(target, cfg, 5000))
+        assert result.skipped_oversize > 0
+        assert all(value < 1 << 64 for value in result.visited)
 
 
 class TestPersistence:

@@ -23,9 +23,12 @@ from prime_oracle.tmcmc import (
     TmcmcConfig,
     initial_z,
     log_target,
+    make_log_target,
     run,
     run_steps,
 )
+
+from collect import run_steps as reference_steps
 
 P0 = 1_000_003  # prime
 K0 = 87_846  # k log k ~ p0
@@ -119,7 +122,7 @@ class TestKernel:
         chain = TmcmcChain(0.0, seed=1)
         cfg = TmcmcConfig(p_add=1.0, p_mult=0.0, add_scale=0.7, mult_scale=0.1)
         for _ in range(500):
-            list(run_steps(chain, lambda z: 1.25, cfg, 1))
+            run_steps(chain, lambda z: 1.25, cfg, 1)
         assert chain.accepts_add == 500
         assert chain.auto_rejects == 0
 
@@ -152,7 +155,7 @@ class TestKernel:
             for _ in range(trials):
                 rng_chain.z = lattice[i]
                 rng_chain.log_density = None
-                list(run_steps(rng_chain, target, cfg, 1))
+                run_steps(rng_chain, target, cfg, 1)
                 j = int(np.argmin(np.abs(lattice - rng_chain.z)))
                 counts[i, j] += 1
         freq = counts / trials
@@ -164,9 +167,7 @@ class TestKernel:
     def test_toy_chain_mean_and_ks(self):
         cfg = TmcmcConfig(seed=2024)
         chain = TmcmcChain(0.3, seed=cfg.seed)
-        samples = np.empty(10**6)
-        for i, (_, z, _) in enumerate(run_steps(chain, standard_normal_log_density, cfg, 10**6)):
-            samples[i] = z
+        samples = np.array(run_steps(chain, standard_normal_log_density, cfg, 10**6))
         assert abs(samples.mean()) < 0.02
         sorted_z = np.sort(samples)
         grid = np.arange(1, len(sorted_z) + 1) / len(sorted_z)
@@ -184,7 +185,7 @@ class TestKernel:
         for idx, z0 in enumerate(points):
             chain = TmcmcChain(float(z0), seed=10_000 + idx)
             for _ in range(10):
-                list(run_steps(chain, standard_normal_log_density, cfg, 1))
+                run_steps(chain, standard_normal_log_density, cfg, 1)
             out[idx] = chain.z
         se = 1.0 / math.sqrt(len(points))
         assert abs(out.mean()) <= 3 * se
@@ -194,7 +195,7 @@ class TestKernel:
         cfg = TmcmcConfig(p_add=1.0, p_mult=0.0, add_scale=5.0, mult_scale=0.1)
         flat = lambda z: 0.0
         for _ in range(200):
-            list(run_steps(chain, flat, cfg, 1))
+            run_steps(chain, flat, cfg, 1)
         assert chain.auto_rejects > 0
 
 
@@ -202,49 +203,109 @@ class TestReproducibility:
     def test_bit_identical_streams(self):
         target = HuntTarget(TargetKind.MERSENNE_H1, P0, K0)
         cfg = TmcmcConfig(seed=5)
-        a = list(run(target, cfg, 5000))
-        b = list(run(target, cfg, 5000))
-        assert a == b
+        assert run(target, cfg, 5000) == run(target, cfg, 5000)
+        chain_a = TmcmcChain(initial_z(target), cfg.seed)
+        chain_b = TmcmcChain(initial_z(target), cfg.seed)
+        assert run_steps(chain_a, target, cfg, 5000) == run_steps(chain_b, target, cfg, 5000)
+        assert chain_a.snapshot() == chain_b.snapshot()
 
     def test_run_equals_step_loop(self):
         # one run of 3000 equals 3000 one-step run_steps calls resuming the
         # same chain: the draw protocol carries over from call to call
         target = HuntTarget(TargetKind.GENERAL_H1, P0, K0)
         cfg = TmcmcConfig(seed=9)
-        via_run = list(run(target, cfg, 3000))
+        via_run = run(target, cfg, 3000)
+        whole = TmcmcChain(initial_z(target), cfg.seed)
+        assert run_steps(whole, target, cfg, 3000) == via_run
         chain = TmcmcChain(initial_z(target), cfg.seed)
         via_step = []
         for _ in range(3000):
             via_step.extend(run_steps(chain, target, cfg, 1))
         assert via_run == via_step
+        # the move counters, running log density and RNG carry over too
+        assert chain.snapshot() == whole.snapshot()
 
     def test_snapshot_resume(self):
         target = HuntTarget(TargetKind.MERSENNE_H1, P0, K0)
         cfg = TmcmcConfig(seed=31)
         chain = TmcmcChain(initial_z(target), cfg.seed)
-        first = [z for _, z, _ in run_steps(chain, target, cfg, 2000)]
+        first = run_steps(chain, target, cfg, 2000)
         snap = chain.snapshot()
-        rest = [z for _, z, _ in run_steps(chain, target, cfg, 2000)]
+        rest = run_steps(chain, target, cfg, 2000)
 
         resumed = TmcmcChain.from_snapshot(snap)
-        rest_resumed = [z for _, z, _ in run_steps(resumed, target, cfg, 2000)]
+        rest_resumed = run_steps(resumed, target, cfg, 2000)
         assert rest == rest_resumed
         assert resumed.iteration == 4000
+        assert resumed.snapshot() == chain.snapshot()
 
         from_json = TmcmcChain.from_snapshot(json.loads(json.dumps(snap)))
-        assert [z for _, z, _ in run_steps(from_json, target, cfg, 2000)] == rest
+        assert run_steps(from_json, target, cfg, 2000) == rest
         assert from_json.snapshot() == resumed.snapshot()
 
         whole_chain = TmcmcChain(initial_z(target), cfg.seed)
-        whole = [z for _, z, _ in run_steps(whole_chain, target, cfg, 4000)]
+        whole = run_steps(whole_chain, target, cfg, 4000)
         assert whole == first + rest
+        assert whole_chain.snapshot() == chain.snapshot()
 
     def test_visited_integer_sets_identical(self):
         target = HuntTarget(TargetKind.GENERAL_H1, P0, K0)
         cfg = TmcmcConfig(seed=77)
-        set_a = {int(math.exp(z)) + P0 for _, z, _ in run(target, cfg, 20_000)}
-        set_b = {int(math.exp(z)) + P0 for _, z, _ in run(target, cfg, 20_000)}
+        set_a = {int(math.exp(z)) + P0 for z in run(target, cfg, 20_000)}
+        set_b = {int(math.exp(z)) + P0 for z in run(target, cfg, 20_000)}
         assert set_a == set_b
+
+
+class TestReferenceKernel:
+    """The kernel against the loop that evaluates the target at every proposal."""
+
+    @staticmethod
+    def counted(target):
+        log_t = make_log_target(target)
+        calls = [0]
+
+        def counted_log_t(z):
+            calls[0] += 1
+            return log_t(z)
+
+        return counted_log_t, calls
+
+    @pytest.mark.parametrize("p0", [999_983, 140_000_053])
+    @pytest.mark.parametrize("kind", list(TargetKind), ids=lambda k: k.value)
+    def test_identical_with_fewer_target_calls(self, kind, p0):
+        target = HuntTarget(kind, p0, K0)
+        cfg = TmcmcConfig(seed=61)
+        fast, fast_calls = self.counted(target)
+        slow, slow_calls = self.counted(target)
+        chain = TmcmcChain(initial_z(target), cfg.seed)
+        ref = TmcmcChain(initial_z(target), cfg.seed)
+        # two calls, so the second starts from a stored running log density
+        for n in (30_000, 20_001):
+            assert run_steps(chain, fast, cfg, n) == reference_steps(ref, slow, cfg, n)
+            assert chain.snapshot() == ref.snapshot()
+        # a quarter of the proposals land back on the state the chain just left
+        assert fast_calls[0] < 0.8 * slow_calls[0]
+
+    def test_identical_on_toy_target_with_auto_rejects(self):
+        cfg = TmcmcConfig(p_add=0.5, p_mult=0.5, add_scale=5.0, mult_scale=0.5, seed=62)
+        flat_tail = lambda z: -abs(z) * 1e-3
+        chain = TmcmcChain(Z_MAX - 1.0, seed=62)
+        ref = TmcmcChain(Z_MAX - 1.0, seed=62)
+        assert run_steps(chain, flat_tail, cfg, 5000) == reference_steps(ref, flat_tail, cfg, 5000)
+        assert chain.snapshot() == ref.snapshot()
+        assert chain.auto_rejects > 0
+
+    def test_reuses_the_exact_target_value(self):
+        # on an O(1) target the running log density is an ulp off the exact
+        # log target at about a third of the states, and the final running
+        # value shows which of the two a reused evaluation took
+        cfg = TmcmcConfig(seed=63)
+        for seed in range(300):
+            chain = TmcmcChain(0.3, seed=seed)
+            ref = TmcmcChain(0.3, seed=seed)
+            zs = run_steps(chain, standard_normal_log_density, cfg, 50)
+            assert zs == reference_steps(ref, standard_normal_log_density, cfg, 50)
+            assert chain.snapshot() == ref.snapshot(), seed
 
 
 class TestHuntBehavior:
@@ -254,14 +315,13 @@ class TestHuntBehavior:
         target = HuntTarget(TargetKind.MERSENNE_H1, 999983, 87846)
         cfg = TmcmcConfig(seed=4)
         chain = TmcmcChain(initial_z(target), cfg.seed)
-        for _ in run_steps(chain, target, cfg, 100_000):
-            pass
+        run_steps(chain, target, cfg, 100_000)
         assert 0.05 < chain.accept_rate < 0.95
 
     def test_chain_finds_primes_above_p0(self):
         target = HuntTarget(TargetKind.GENERAL_H1, 999983, 87846)
         cfg = TmcmcConfig(seed=42)
-        visited = {int(math.exp(z)) + 999983 for _, z, _ in run(target, cfg, 100_000)}
+        visited = {int(math.exp(z)) + 999983 for z in run(target, cfg, 100_000)}
         primes = {v for v in visited if v > 999983 and is_prime_u64(v)}
         assert primes
         assert all(p > 999983 for p in primes)
@@ -273,10 +333,11 @@ class TestPerformance:
 
         target = HuntTarget(TargetKind.MERSENNE_H1, 140000053, 8_800_000)
         cfg = TmcmcConfig(seed=1)
+        chain = TmcmcChain(initial_z(target), cfg.seed)
         t0 = time.perf_counter()
         n = 0
-        for _ in run(target, cfg, 10_000_000):
-            n += 1
+        for _ in range(100):  # in blocks, as a hunt runs it: one list of 1e7 states is ~300 MB
+            n += len(run_steps(chain, target, cfg, 100_000))
         elapsed = time.perf_counter() - t0
-        assert n == 10_000_000
+        assert n == chain.iteration == 10_000_000
         assert elapsed < 60.0, f"10M iterations took {elapsed:.1f}s"
