@@ -11,6 +11,7 @@ the counting process itself (:mod:`.nhpp`), the two Bayesian engines
 from .errors import DomainError, ResourceError
 from .numtheory import (
     PrimeTable,
+    is_prime_batch,
     is_prime_u64,
     lucas_lehmer,
     mersenne_digit_count,

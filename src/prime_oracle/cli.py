@@ -17,7 +17,13 @@ import numpy as np
 
 from . import nhpp, nonrecursive_bayes, pipeline, recursive_bayes
 from .errors import DomainError, ResourceError
-from .numtheory import is_prime_u64, lucas_lehmer, mersenne_digit_count, primes_up_to
+from .numtheory import (
+    LUCAS_LEHMER_CEILING,
+    is_prime_u64,
+    lucas_lehmer,
+    mersenne_digit_count,
+    primes_up_to,
+)
 from .pipeline import FILE_HEADER, HuntPlan, RecordKind
 from .recursive_bayes import Hyperparameters
 from .specialfn import MT, X_OVER_LOG, ErrorBoundModel, IntensityParams
@@ -248,8 +254,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ll_check(args) -> int:
-    if args.max_exponent > 100_000:
-        raise DomainError("--max-exponent is capped at 100000")
+    if args.max_exponent > LUCAS_LEHMER_CEILING:
+        raise DomainError(f"--max-exponent is capped at {LUCAS_LEHMER_CEILING}")
     if args.max_exponent < 3:
         raise DomainError("--max-exponent must be at least 3: the sweep covers odd prime exponents")
     found = []

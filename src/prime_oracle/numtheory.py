@@ -7,8 +7,20 @@ A014233), Sinclair's seven bases below 2**64 (checked against Feitsma and
 Galway's list of every base-2 strong pseudoprime below 2**64), and the first
 twelve primes below psi_12 ~ 3.19e23 (Sorenson & Webster, Math. Comp. 86,
 2017).  Larger inputs are refused, and the Lucas-Lehmer test is exact for
-Mersenne numbers.  Prime tables come from a segmented sieve of Eratosthenes
-that keeps one flag per odd integer, 1 MB of scratch flags per segment.
+Mersenne numbers.
+
+Primality has two paths with the same witness rows, picked by the caller's
+input size.  :func:`is_prime_u64` tests one integer with Python ``pow``, a
+few microseconds: the single values of hunt targets, candidate records, the
+hunt's per-candidate filter, :func:`lucas_lehmer` and trial factoring, and
+the tests' oracle.  :func:`is_prime_batch` tests a list in one pass of
+``uint64`` array arithmetic (Montgomery multiplication on 32-bit limbs) for
+``verify``: about 30 ms for 10,000 mixed 64-bit values against about
+0.2 s one by one, but with a fixed cost of a few thousand numpy calls, a
+few milliseconds, that one ``pow`` does not have.
+
+Prime tables come from a segmented sieve of Eratosthenes that keeps one flag
+per odd integer, 1 MB of scratch flags per segment.
 """
 
 from __future__ import annotations
@@ -25,16 +37,19 @@ __all__ = [
     "PrimeTable",
     "primes_up_to",
     "is_prime_u64",
+    "is_prime_batch",
     "lucas_lehmer",
     "mersenne_digit_count",
     "LUCAS_LEHMER_CEILING",
+    "MILLER_RABIN_LIMIT",
     "SIEVE_LIMIT_CEILING",
 ]
 
 #: First twelve primes: the trial divisors, and a proven deterministic
-#: Miller-Rabin witness set for every n < psi_12 (Sorenson & Webster 2017).
+#: Miller-Rabin witness set for every n below ``MILLER_RABIN_LIMIT`` = psi_12
+#: (Sorenson & Webster 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318_665_857_834_031_151_167_461
+MILLER_RABIN_LIMIT = 318_665_857_834_031_151_167_461
 
 #: ``(bound, witnesses)`` rows, ascending; the first row whose bound exceeds n
 #: decides n.  Rows 1-6 are psi_1..psi_6 with the first k primes (Jaeschke
@@ -48,8 +63,20 @@ _MR_TABLE = (
     (2_152_302_898_747, _MR_WITNESSES[:5]),
     (3_474_749_660_383, _MR_WITNESSES[:6]),
     (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (_MR_LIMIT, _MR_WITNESSES),
+    (MILLER_RABIN_LIMIT, _MR_WITNESSES),
 )
+
+#: The array path of :func:`is_prime_batch`: the six psi_k bounds of
+#: ``_MR_TABLE`` (``searchsorted(..., side="right")`` is the row index, 6 for
+#: Sinclair's bases), and each row's witnesses after the leading 2,
+#: zero-padded, with their count.
+_ROW_BOUNDS = np.array([bound for bound, _ in _MR_TABLE[:6]], dtype=np.uint64)
+_ROW_WITNESSES = np.array(
+    [w[1:] + (0,) * (7 - len(w)) for _, w in _MR_TABLE[:7]], dtype=np.uint64
+)
+_ROW_LENGTHS = np.array([len(w) - 1 for _, w in _MR_TABLE[:7]])
+_U64_LIMIT = 1 << 64
+_LOW32 = np.uint64(0xFFFF_FFFF)
 
 #: Largest exponent accepted by :func:`lucas_lehmer`; certifying 1e8-scale
 #: exponents is out of reach on desk hardware and refused loudly.
@@ -152,8 +179,10 @@ def is_prime_u64(n: int) -> bool:
     n = int(n)
     if n < 2:
         return False
-    if n >= _MR_LIMIT:
-        raise DomainError(f"{n} is past the proven Miller-Rabin range (n < {_MR_LIMIT})")
+    if n >= MILLER_RABIN_LIMIT:
+        raise DomainError(
+            f"{n} is past the proven Miller-Rabin range (n < {MILLER_RABIN_LIMIT})"
+        )
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -176,6 +205,168 @@ def is_prime_u64(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime_batch(values) -> list[bool]:
+    """One :func:`is_prime_u64` verdict per value, in input order, in one array pass.
+
+    Values in ``[0, 2**64)`` go into one ``uint64`` array: trial division by
+    2..37 is an array ``%``, each survivor's ``_MR_TABLE`` row comes from
+    ``np.searchsorted`` over the six psi_k bounds, and Miller-Rabin runs in
+    Montgomery arithmetic (:func:`_mont_mul`).  Base 2, first in every row,
+    runs on every survivor; only those that pass it meet the rest of their
+    row's witnesses, all (value, witness) pairs in one array.  The witness
+    sets are the scalar path's, so the same proofs apply.  Negative values
+    and values in ``[2**64, psi_12)`` take :func:`is_prime_u64`, which also
+    refuses the first value at or past psi_12 with :class:`DomainError`
+    before any array work.  Verdicts are Python ``bool``.
+    """
+    values = [int(v) for v in values]
+    verdicts = [False] * len(values)
+    in_u64 = []
+    for i, n in enumerate(values):
+        if 0 <= n < _U64_LIMIT:
+            in_u64.append(i)
+        else:
+            verdicts[i] = is_prime_u64(n)
+    if in_u64:
+        n = np.array([values[i] for i in in_u64], dtype=np.uint64)
+        for i, verdict in zip(in_u64, _is_prime_array(n).tolist()):
+            verdicts[i] = verdict
+    return verdicts
+
+
+def _is_prime_array(n: np.ndarray) -> np.ndarray:
+    """:func:`is_prime_u64` verdicts for a ``uint64`` array, as a bool array."""
+    prime = np.zeros(len(n), dtype=bool)
+    alive = n > 1
+    for p in _MR_WITNESSES:
+        prime |= n == p
+        alive &= n % p != 0
+    idx = np.flatnonzero(alive)
+    if not len(idx):
+        return prime
+    mod = _montgomery(n[idx])
+    passed = _strong_probable_prime(mod, np.full(len(idx), 2, dtype=np.uint64))
+    rest = np.flatnonzero(passed)
+    row = np.searchsorted(_ROW_BOUNDS, mod[0, rest], side="right")
+    counts = _ROW_LENGTHS[row]
+    owner = np.repeat(rest, counts)
+    if len(owner):
+        # each pair's place in its value's run of witnesses
+        column = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        bases = _ROW_WITNESSES[np.repeat(row, counts), column]
+        passed[owner[~_strong_probable_prime(mod[:, owner], bases)]] = False
+    prime[idx] = passed
+    return prime
+
+
+def _montgomery(n: np.ndarray) -> np.ndarray:
+    """Rows ``n, n_lo, n_hi, n_inv, one, r2`` for odd ``uint64`` moduli ``n``.
+
+    ``n_lo``/``n_hi`` are the 32-bit limbs of n, ``n_inv = n**-1 mod 2**64``
+    (Newton's iteration from ``n``, right to 3 bits, doubling each step),
+    ``one = 2**64 mod n`` (1 in Montgomery form) and ``r2 = 2**128 mod n``:
+    ``2 * one`` squared six times in Montgomery form, ``2**j R -> 2**2j R``.
+    """
+    n_inv = n.copy()
+    for _ in range(5):
+        n_inv *= 2 - n * n_inv
+    one = (~n + 1) % n  # below n <= 2**63, or 2**64 - n: 2 * one cannot wrap
+    r2 = one << 1
+    r2 -= n * (r2 >= n)
+    mod = np.stack([n, n & _LOW32, n >> 32, n_inv, one, r2])
+    for _ in range(6):
+        mod[5] = _mont_mul(mod[5], mod[5], mod)
+    return mod
+
+
+def _mul_hi(x: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray) -> np.ndarray:
+    """High 64 bits of ``x * y`` for ``uint64`` arrays, with y as 32-bit limbs.
+
+    The four limb products are exact in ``uint64``; the middle column (low
+    product's high half plus both cross products' low halves) stays below
+    ``3 * 2**32``, and its carry joins the high word.
+    """
+    x_lo = x & _LOW32
+    x_hi = x >> 32
+    cross = x_lo * y_hi
+    cross2 = x_hi * y_lo
+    mid = x_lo * y_lo
+    mid >>= 32
+    mid += cross & _LOW32
+    mid += cross2 & _LOW32
+    high = x_hi * y_hi
+    high += cross >> 32
+    high += cross2 >> 32
+    high += mid >> 32
+    return high
+
+
+def _mont_mul(x: np.ndarray, y: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """``x * y / 2**64 mod n`` (REDC, Montgomery, Math. Comp. 44, 1985), x < 2**64, y < n.
+
+    ``m = x * y * n_inv mod 2**64`` makes ``m * n`` agree with ``x * y`` in
+    the low word, so ``(x * y - m * n) / 2**64`` is the difference of the
+    high words.  Both are below n, so a borrow is fixed by adding n once.
+    """
+    n, n_lo, n_hi, n_inv = mod[:4]
+    t = _mul_hi(x, y & _LOW32, y >> 32)
+    m = x * y
+    m *= n_inv
+    u = _mul_hi(m, n_lo, n_hi)
+    borrow = t < u
+    t -= u
+    t += n * borrow  # not np.add(..., where=): that costs ten plain ops
+    return t
+
+
+def _mont_pow(a: np.ndarray, d: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """``a**d`` per element in Montgomery form, by fixed 4-bit windows of d.
+
+    A table of ``a**0 .. a**15`` (14 products) lets each hex digit of d,
+    most significant first, cost four squarings and one product.
+    """
+    table = np.empty((16, len(a)), dtype=np.uint64)
+    table[0] = mod[4]
+    table[1] = a
+    for k in range(2, 16):
+        table[k] = _mont_mul(table[k - 1], a, mod)
+    column = np.arange(len(a))
+    top = (int(d.max()).bit_length() - 1) // 4 * 4
+    x = table[(d >> top) & 15, column]
+    for shift in range(top - 4, -1, -4):
+        for _ in range(4):
+            x = _mont_mul(x, x, mod)
+        x = _mont_mul(x, table[(d >> shift) & 15, column], mod)
+    return x
+
+
+def _strong_probable_prime(mod: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Whether each odd ``n = mod[0]`` is a strong probable prime to base ``bases < n``.
+
+    With ``n - 1 = d * 2**s``: ``a**d`` by :func:`_mont_pow`, then up to
+    ``s - 1`` squarings of the values not yet decided, each pass on the
+    shrinking subset that can still reach -1.
+    """
+    n, one = mod[0], mod[4]
+    minus_one = n - one
+    n1 = n - 1
+    s = np.frexp((n1 & (~n1 + 1)).astype(np.float64))[1] - 1  # exact: a power of two
+    d = n1 >> s.astype(np.uint64)
+    x = _mont_pow(_mont_mul(bases, mod[5], mod), d, mod)
+    passed = (x == one) | (x == minus_one)
+    live = np.flatnonzero(~passed & (s > 1))
+    x = x[live]
+    for r in range(1, int(s.max())):
+        x = _mont_mul(x, x, mod[:, live])
+        hit = x == minus_one[live]
+        passed[live[hit]] = True
+        keep = ~hit & (s[live] > r + 1)
+        live, x = live[keep], x[keep]
+        if not len(live):
+            break
+    return passed
 
 
 def lucas_lehmer(p: int) -> bool:

@@ -21,7 +21,13 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import is_prime_u64, mersenne_digit_count, primes_up_to
+from .numtheory import (
+    MILLER_RABIN_LIMIT,
+    is_prime_batch,
+    is_prime_u64,
+    mersenne_digit_count,
+    primes_up_to,
+)
 from .specialfn import MT, ErrorBoundModel
 from .tmcmc import (
     HuntTarget,
@@ -570,10 +576,13 @@ def verify_file(path) -> VerifyReport:
 
     Blank lines and ``#`` comments are skipped; a line that is not an ASCII
     decimal integer (optional sign, digits 0-9) is reported as unparseable
-    and processing continues.  A value past the proven primality
-    range raises :class:`DomainError` naming ``path:line``.
+    and processing continues.  Every line is parsed first, then all values
+    get their verdicts from one :func:`.numtheory.is_prime_batch` call (the
+    array path; single values elsewhere take :func:`.numtheory.is_prime_u64`).
+    A value past the proven primality range raises :class:`DomainError`
+    naming ``path:line`` of the first such line, before any verdict.
     """
-    entries = []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -582,13 +591,17 @@ def verify_file(path) -> VerifyReport:
             try:
                 if _DECIMAL.fullmatch(text) is None:
                     raise ValueError(f"not an ASCII decimal integer: {text!r}")
-                value = int(text)
-            except ValueError as exc:
-                entries.append(VerifyEntry(line_no, text, None, None, str(exc)))
-                continue
-            try:
-                verdict = is_prime_u64(value)
-            except DomainError as exc:
-                raise DomainError(f"{path}:{line_no}: {exc}") from None
-            entries.append(VerifyEntry(line_no, text, value, verdict))
-    return VerifyReport(entries)
+                rows.append((line_no, text, int(text), None))
+            except ValueError as exc:  # also int()'s limit on digit count
+                rows.append((line_no, text, None, str(exc)))
+    try:
+        verdicts = iter(is_prime_batch([value for _, _, value, error in rows if error is None]))
+    except DomainError as exc:
+        line_no = next(
+            no for no, _, value, error in rows if error is None and value >= MILLER_RABIN_LIMIT
+        )
+        raise DomainError(f"{path}:{line_no}: {exc}") from None
+    return VerifyReport([
+        VerifyEntry(no, text, value, next(verdicts) if error is None else None, error)
+        for no, text, value, error in rows
+    ])

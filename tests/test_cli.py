@@ -8,6 +8,7 @@ import trial_factor
 from prime_oracle import pipeline
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import _read_config_file, build_parser, main
+from prime_oracle.numtheory import LUCAS_LEHMER_CEILING
 from prime_oracle.pipeline import FILE_HEADER, HuntPlan, hunt_general, load_records
 from prime_oracle.recursive_bayes import Hyperparameters
 from prime_oracle.specialfn import RH_SQRT
@@ -261,6 +262,13 @@ class TestVerifyAndLl:
         path.write_text("7\n318665857834031151167461\n")
         assert main(["verify", str(path)]) == 2
         assert f"{path}:2:" in capsys.readouterr().err
+        # the first refused line is named, past a parse error and before a
+        # later refused line, and no verdict is printed
+        path.write_text("7\nzzz\n318665857834031151167461\n11\n318665857834031151167463\n")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}:3:" in captured.err
+        assert captured.out == ""
 
     def test_verify_missing_file_is_io_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.txt")]) == 3
@@ -271,8 +279,11 @@ class TestVerifyAndLl:
         assert "2^31-1 is prime" in out
         assert "[3, 5, 7, 13, 17, 19, 31, 61]" in out
 
-    def test_ll_check_cap(self):
+    def test_ll_check_cap(self, capsys):
         assert main(["ll-check", "--max-exponent", "200000"]) == 2
+        # the CLI refuses exactly past lucas_lehmer's own ceiling
+        assert main(["ll-check", "--max-exponent", str(LUCAS_LEHMER_CEILING + 1)]) == 2
+        assert capsys.readouterr().err.count("--max-exponent is capped at 100000") == 2
 
     def test_ll_check_below_first_odd_prime_refused(self, capsys):
         # 2**2 - 1 = 3 is prime, but the sweep covers odd exponents only

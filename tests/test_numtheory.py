@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from prime_oracle import numtheory
 from prime_oracle.errors import DomainError, ResourceError
 from prime_oracle.numtheory import (
+    is_prime_batch,
     is_prime_u64,
     lucas_lehmer,
     mersenne_digit_count,
@@ -170,6 +171,24 @@ class TestPrimesUpTo:
             primes_up_to(10**9 + 1)
 
 
+#: The two primality paths: one value at a time, and one array pass.
+PATHS = {"scalar": lambda values: [is_prime_u64(n) for n in values], "batch": is_prime_batch}
+
+
+def assert_both_paths(values, expected):
+    """Both paths give ``expected``, one verdict per value in input order."""
+    values, expected = list(values), list(expected)
+    for name, path in PATHS.items():
+        got = path(values)
+        wrong = [(n, g) for n, g, w in zip(values, got, expected) if g is not w]
+        assert len(got) == len(expected) and not wrong, (name, len(got), wrong[:5])
+
+
+def assert_batch_matches_scalar(values):
+    values = list(values)
+    assert_both_paths(values, [is_prime_u64(n) for n in values])
+
+
 class TestIsPrimeU64:
     def test_unit_is_not_prime(self):
         assert is_prime_u64(1) is False
@@ -182,8 +201,7 @@ class TestIsPrimeU64:
         assert is_prime_u64(140000054) is False
 
     def test_agrees_with_trial_division_to_20k(self):
-        for n in range(2, 20_000):
-            assert is_prime_u64(n) == trial_division_is_prime(n), n
+        assert_both_paths(range(2, 20_000), map(trial_division_is_prime, range(2, 20_000)))
 
     def test_sieve_round_trip(self, primes_small):
         flags = np.zeros(primes_small.limit + 1, dtype=bool)
@@ -194,10 +212,10 @@ class TestIsPrimeU64:
 
     def test_known_64bit_edge_cases(self):
         # strong-pseudoprime traps that defeat smaller witness sets
-        assert is_prime_u64(3215031751) is False  # 151 * 751 * 28351
-        assert is_prime_u64(3825123056546413051) is False  # spsp to bases 2..23
-        assert is_prime_u64((1 << 61) - 1) is True
-        assert is_prime_u64((1 << 59) - 1) is False
+        assert_both_paths(
+            [3215031751, 3825123056546413051, (1 << 61) - 1, (1 << 59) - 1],
+            [False, False, True, False],  # 151 * 751 * 28351, spsp to bases 2..23
+        )
         assert 3215031751 == 151 * 751 * 28351
         assert 3825123056546413051 == 149491 * 747451 * 34233211
 
@@ -205,27 +223,29 @@ class TestIsPrimeU64:
         # psi_k fools the first k primes, so it must already fall in a later
         # row; 3825123056546413051 (psi_9 = psi_10 = psi_11) fools the first
         # eleven and must meet the 64-bit bases
-        for k, bound in [*enumerate(PSI, start=1), (11, 3825123056546413051)]:
+        traps = [*enumerate(PSI, start=1), (11, 3825123056546413051)]
+        for k, bound in traps:
             assert strong_probable_prime(bound, TWELVE_PRIMES[:k]), bound
             assert not strong_probable_prime(bound, TWELVE_PRIMES), bound
-            assert is_prime_u64(bound) is False, bound
+        assert_both_paths([bound for _, bound in traps], [False] * len(traps))
 
     def test_64bit_matches_twelve_bases_seeded(self):
         rng = random.Random(11)
         primes32 = [next_prime_by_spsp(rng.getrandbits(32) | 1 << 31 | 1) for _ in range(60)]
         primes64 = [next_prime_by_spsp(rng.getrandbits(64) | 1 << 63 | 1) for _ in range(60)]
-        assert all(is_prime_u64(p) for p in primes64)
         cases = [561, 41041, 825265]  # Carmichael numbers
         cases += [p * q for p, q in zip(primes32[::2], primes32[1::2])]
         cases += [rng.randrange(1 << 40, 1 << 64) | 1 for _ in range(3000)]
-        for n in cases:
-            assert is_prime_u64(n) == strong_probable_prime(n, TWELVE_PRIMES), n
+        assert_both_paths(
+            primes64 + cases,
+            [True] * len(primes64) + [strong_probable_prime(n, TWELVE_PRIMES) for n in cases],
+        )
 
-    @given(st.integers(min_value=1 << 39, max_value=(1 << 63) - 1))
+    @given(st.lists(st.integers(min_value=1 << 39, max_value=(1 << 63) - 1), max_size=40))
     @settings(max_examples=300, deadline=None)
-    def test_64bit_matches_twelve_bases(self, half):
-        n = 2 * half + 1  # odd, in [2**40, 2**64)
-        assert is_prime_u64(n) == strong_probable_prime(n, TWELVE_PRIMES)
+    def test_64bit_matches_twelve_bases(self, halves):
+        odd = [2 * half + 1 for half in halves]  # in [2**40, 2**64)
+        assert_both_paths(odd, [strong_probable_prime(n, TWELVE_PRIMES) for n in odd])
 
     @pytest.mark.parametrize(
         "n, calls",
@@ -255,6 +275,41 @@ class TestIsPrimeU64:
         with pytest.raises(DomainError):
             is_prime_u64(psi_12)
         assert isinstance(is_prime_u64(psi_12 - 2), bool)
+
+
+class TestIsPrimeBatch:
+    """Cases only the array path can get wrong: its Montgomery arithmetic
+    near the 64- and 32-bit limb edges, empty input, and the values it
+    hands to the scalar path with the input order kept."""
+
+    def test_top_of_u64(self):
+        # n near 2**64: the REDC high words t and m*n/2**64 are both near
+        # 2**64, and t < m*n/2**64 must borrow n back
+        assert_batch_matches_scalar(range((1 << 64) - 4096, 1 << 64))
+
+    def test_around_2_to_63(self):
+        # 2**64 mod n falls from near n to near 2**63 as n passes 2**63
+        assert_batch_matches_scalar(range((1 << 63) - 2048, (1 << 63) + 2048))
+
+    def test_squares_of_primes_below_2_to_32(self):
+        primes = [n for n in range((1 << 32) - 1, (1 << 32) - 2000, -2) if is_prime_u64(n)]
+        products = [p * p for p in primes] + [p * q for p, q in zip(primes, primes[1:])]
+        assert_both_paths(products + primes, [False] * len(products) + [True] * len(primes))
+
+    def test_empty_input(self):
+        assert is_prime_batch([]) == []
+
+    def test_mixed_ranges_keep_input_order(self):
+        past_u64 = [(1 << 64) + 13, (1 << 64) + 15, 10**23 + 117, 10**23 + 119]
+        values = [-7, 0, 1, *TWELVE_PRIMES, *past_u64, -(1 << 70), 39, 41, (1 << 64) - 59]
+        for order in (values, values[::-1], sorted(values)):
+            assert_batch_matches_scalar(order)
+        assert [is_prime_u64(n) for n in past_u64] == [True, False, True, False]
+
+    def test_refuses_past_proven_range(self):
+        psi_12 = 318_665_857_834_031_151_167_461
+        with pytest.raises(DomainError, match=str(psi_12 + 1)):
+            is_prime_batch([7, 1 << 64, psi_12 + 1, psi_12, 9])
 
 
 class TestLucasLehmer:

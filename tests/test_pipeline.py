@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from prime_oracle import pipeline
+from prime_oracle import numtheory, pipeline
 from prime_oracle.errors import DomainError
 from prime_oracle.numtheory import is_prime_u64, mersenne_digit_count, primes_up_to
 from prime_oracle.pipeline import (
@@ -515,12 +515,52 @@ class TestVerifyFile:
         ]
         assert report.n_errors == 3
 
+    def test_digit_count_past_int_limit_is_unparseable(self, tmp_path):
+        path = tmp_path / "ints.txt"
+        path.write_text("7\n" + "9" * 5000 + "\n11\n")
+        report = verify_file(path)
+        assert [(e.line_no, e.value, e.verdict) for e in report.entries] == [
+            (1, 7, True),
+            (2, None, None),
+            (3, 11, True),
+        ]
+        assert "digits" in report.entries[1].error
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         report = verify_file(path)
         assert report.entries == []
         assert report.n_prime == 0
+
+    def test_verdicts_are_python_bools(self, tmp_path):
+        # n_prime counts ``verdict is True``: an np.bool_ would count as neither
+        path = tmp_path / "ints.txt"
+        path.write_text("7\n9\nzzz\n-3\n18446744073709551557\n18446744073709551629\n")
+        report = verify_file(path)
+        assert [e.verdict for e in report.entries] == [True, False, None, False, True, True]
+        assert [type(e.verdict) for e in report.entries] == [bool] * 2 + [type(None)] + [bool] * 3
+        assert (report.n_prime, report.n_composite, report.n_errors) == (3, 2, 1)
+
+    def test_u64_lines_make_no_scalar_pow_call(self, tmp_path, monkeypatch):
+        # every value in [0, 2**64) takes the array path; one prime past
+        # 2**64 takes the scalar one, with its twelve witnesses
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return pow(*args)
+
+        monkeypatch.setattr(numtheory, "pow", counting, raising=False)
+        lines = [U64_MAX_PRIME, 3825123056546413051, 140000053, 1000003, 2047, 41, 2, 1, -5]
+        path = tmp_path / "ints.txt"
+        path.write_text("".join(f"{n}\n" for n in lines))
+        assert verify_file(path).n_prime == 5
+        assert calls == 0
+        path.write_text("".join(f"{n}\n" for n in lines + [(1 << 64) + 13]))
+        assert verify_file(path).n_prime == 6
+        assert calls == 12
 
     def test_reference_exponent_list(self, candidate_exponent_file):
         report = verify_file(candidate_exponent_file)
