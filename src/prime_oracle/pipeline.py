@@ -30,6 +30,7 @@ from .numtheory import (
 )
 from .specialfn import MT, ErrorBoundModel
 from .tmcmc import (
+    MOVE_COUNTERS,
     HuntTarget,
     TargetKind,
     TmcmcChain,
@@ -208,11 +209,8 @@ class HuntStats:
 
     def add_chain(self, chain: TmcmcChain) -> None:
         """Add one finished chain's move counters."""
-        self.proposals_add += chain.proposals_add
-        self.accepts_add += chain.accepts_add
-        self.proposals_mult += chain.proposals_mult
-        self.accepts_mult += chain.accepts_mult
-        self.auto_rejects += chain.auto_rejects
+        for name in MOVE_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(chain, name))
 
     def summary(self) -> str:
         """One line: accept rate per move, auto-rejects and skipped states."""
@@ -288,20 +286,19 @@ def collect_candidates(
     chain so interrupted runs reproduce the uninterrupted record set.
 
     The chain runs in blocks of :data:`_CHAIN_BLOCK` steps, so one block of
-    states is held at a time, and each block is reduced with numpy.  Below
-    ``2**53`` a double holds every integer, so flooring ``exp(z)`` there is
-    exact and ``floor(exp(z)) + p0`` is formed in ``uint64`` wherever it
-    stays below ``2**64``; the few states past that bound take Python
-    integers.
+    states is held at a time, and each block is reduced with numpy.  Every
+    double in ``[0, 2**64)`` converts to ``uint64`` as its exact floor, so
+    one ``uint64`` pass forms ``floor(exp(z)) + p0`` for every state; a sum
+    past ``2**64 - 1`` counts as oversize.
     """
     if snapshot is None:
         chain = TmcmcChain(initial_z(target), config.seed)
     else:
         chain = TmcmcChain.from_snapshot(snapshot)
     log_t = make_log_target(target)
-    p0 = target.p0
-    # below this floor(exp(z)) is exact in a double and floor(exp(z)) + p0 < 2**64
-    exact_below = float(min(1 << 53, _U64_LIMIT - p0))
+    p0 = np.uint64(target.p0)
+    # the largest floor(exp(z)) whose sum with p0 is below 2**64
+    floor_max = np.uint64(_U64_LIMIT - 1 - target.p0)
     visited: dict[int, int] = {}
     skipped_small = 0
     skipped_oversize = 0
@@ -316,18 +313,14 @@ def collect_candidates(
             continue
         e = np.fromiter(map(math.exp, zs[skip:]), dtype=float, count=n - skip)
         first += skip
-        small = e < 2.0
-        skipped_small += int(np.count_nonzero(small))
-        large = e >= exact_below
-        for i in np.flatnonzero(large).tolist():
-            value = int(e[i]) + p0
-            if value >= _U64_LIMIT:
-                skipped_oversize += 1
-            elif value not in visited:
-                visited[value] = first + i
-        keep = np.flatnonzero(~(small | large))
-        values = np.floor(e[keep]).astype(np.uint64) + np.uint64(p0)
-        distinct, at = np.unique(values, return_index=True)
+        small = int(np.count_nonzero(e < 2.0))
+        keep = np.flatnonzero((e >= 2.0) & (e < 2.0**64))
+        floors = e[keep].astype(np.uint64)
+        fits = floors <= floor_max
+        keep = keep[fits]
+        skipped_small += small
+        skipped_oversize += len(e) - small - len(keep)
+        distinct, at = np.unique(floors[fits] + p0, return_index=True)
         for value, i in zip(distinct.tolist(), keep[at].tolist()):
             if value not in visited:
                 visited[value] = first + i
@@ -536,8 +529,7 @@ def load_records(path) -> list[CandidateRecord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyEntry:
+class VerifyEntry(NamedTuple):
     line_no: int
     text: str
     value: int | None

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 from .errors import DomainError
@@ -39,6 +39,7 @@ from .specialfn import MT, ErrorBoundModel, error_forms, positive_density_floor
 
 __all__ = [
     "Z_MAX",
+    "MOVE_COUNTERS",
     "TargetKind",
     "HuntTarget",
     "TmcmcConfig",
@@ -72,8 +73,9 @@ class HuntTarget:
     model: ErrorBoundModel = MT
 
     def __post_init__(self) -> None:
-        if not is_prime_u64(self.p0):
-            raise DomainError(f"p0 must be prime, got {self.p0}")
+        # a hunt maps states to floor(exp(z)) + p0, which must fit in 64 bits
+        if not (self.p0 < 1 << 64 and is_prime_u64(self.p0)):
+            raise DomainError(f"p0 must be a prime below 2**64, got {self.p0}")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
         # GENERAL_H2 takes log f at every u > p0.  The elasticity x f / F
@@ -97,12 +99,15 @@ class TmcmcConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # every comparison below is false for nan, so nan is refused too
+        for name in ("p_add", "p_mult"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DomainError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("add_scale", "mult_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if abs(self.p_add + self.p_mult - 1.0) > 1e-12:
             raise DomainError("move probabilities must sum to 1")
-        if not (0.0 <= self.p_add <= 1.0):
-            raise DomainError("p_add must lie in [0, 1]")
-        if self.add_scale <= 0.0 or self.mult_scale <= 0.0:
-            raise DomainError("move scales must be positive")
 
 
 def make_log_target(target: HuntTarget) -> Callable[[float], float]:
@@ -156,31 +161,31 @@ def initial_z(target: HuntTarget) -> float:
     return math.log(math.log(target.p0))
 
 
+#: The chain's per-move counters, each kept by :func:`run_steps`.
+MOVE_COUNTERS = ("proposals_add", "accepts_add", "proposals_mult", "accepts_mult", "auto_rejects")
+
+#: What a snapshot holds besides the RNG state, in snapshot key order.
+_SNAPSHOT_FIELDS = ("z", "iteration", "log_density", *MOVE_COUNTERS)
+
+
+@dataclass(slots=True, eq=False)
 class TmcmcChain:
     """Mutable chain state: position, RNG, and per-move acceptance counters."""
 
-    __slots__ = (
-        "z",
-        "rng",
-        "iteration",
-        "log_density",
-        "proposals_add",
-        "accepts_add",
-        "proposals_mult",
-        "accepts_mult",
-        "auto_rejects",
-    )
+    z: float
+    seed: InitVar[int | None] = None
+    rng: random.Random = field(init=False, repr=False)
+    iteration: int = field(init=False, default=0)
+    log_density: float | None = field(init=False, default=None)
+    proposals_add: int = field(init=False, default=0)
+    accepts_add: int = field(init=False, default=0)
+    proposals_mult: int = field(init=False, default=0)
+    accepts_mult: int = field(init=False, default=0)
+    auto_rejects: int = field(init=False, default=0)
 
-    def __init__(self, z: float, seed: int | None = None):
-        self.z = float(z)
+    def __post_init__(self, seed: int | None) -> None:
+        self.z = float(self.z)
         self.rng = random.Random(seed)
-        self.iteration = 0
-        self.log_density: float | None = None
-        self.proposals_add = 0
-        self.accepts_add = 0
-        self.proposals_mult = 0
-        self.accepts_mult = 0
-        self.auto_rejects = 0
 
     @property
     def accept_rate(self) -> float:
@@ -189,28 +194,16 @@ class TmcmcChain:
 
     def snapshot(self) -> dict:
         """Resumable state: position, counters and the full RNG state."""
-        return {
-            "z": self.z,
-            "iteration": self.iteration,
-            "log_density": self.log_density,
-            "proposals_add": self.proposals_add,
-            "accepts_add": self.accepts_add,
-            "proposals_mult": self.proposals_mult,
-            "accepts_mult": self.accepts_mult,
-            "auto_rejects": self.auto_rejects,
-            "rng_state": self.rng.getstate(),
-        }
+        state = {key: getattr(self, key) for key in _SNAPSHOT_FIELDS}
+        state["rng_state"] = self.rng.getstate()
+        return state
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "TmcmcChain":
+        """Inverse of :meth:`snapshot`; a missing key raises ``KeyError``."""
         chain = cls(state["z"])
-        chain.iteration = state["iteration"]
-        chain.log_density = state["log_density"]
-        chain.proposals_add = state["proposals_add"]
-        chain.accepts_add = state["accepts_add"]
-        chain.proposals_mult = state["proposals_mult"]
-        chain.accepts_mult = state["accepts_mult"]
-        chain.auto_rejects = state["auto_rejects"]
+        for key in _SNAPSHOT_FIELDS[1:]:
+            setattr(chain, key, state[key])
         # a snapshot that went through JSON holds lists where getstate() gave tuples
         version, internal, gauss_next = state["rng_state"]
         chain.rng.setstate((version, tuple(internal), gauss_next))

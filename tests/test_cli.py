@@ -330,6 +330,34 @@ class TestConfigFile:
         assert main(["hunt", "--p0", "999983", "--iters", "100", "--config", str(cfg)]) == 2
         assert f"{cfg}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["p_add", "p_mult", "add_scale", "mult_scale"])
+    @pytest.mark.parametrize("command", ["hunt", "mersenne"])
+    def test_non_finite_kernel_value_refused(
+        self, command, name, source, value, tmp_path, capsys
+    ):
+        # --mult-scale nan used to run to exit 0 with no multiplicative move taken
+        out = tmp_path / "records.jsonl"
+        argv = [command, "--p0", "999983", "--out", str(out)]
+        argv += ["--iters", "2000"] if command == "hunt" else ["--burnin", "10", "--keep", "10"]
+        if source == "flag":
+            argv += [f"--{name.replace('_', '-')}", value]
+        else:
+            cfg = tmp_path / "kernel.cfg"
+            cfg.write_text(f"{name}={value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} must")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_hunt_past_u64_refused(self, capsys):
+        # (1 << 64) + 13 is prime; it used to end in an OverflowError traceback
+        assert main(["hunt", "--p0", str((1 << 64) + 13), "--iters", "100"]) == 2
+        assert "p0 must be a prime below 2**64" in capsys.readouterr().err
+
     def test_file_is_closed(self, tmp_path):
         cfg = tmp_path / "kernel.cfg"
         cfg.write_text("add_scale=0.9\n")

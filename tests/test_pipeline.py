@@ -386,6 +386,14 @@ class TestCollectCandidates:
         assert result.skipped_oversize > 0
         assert all(value < 1 << 64 for value in result.visited)
 
+    def test_u64_cast_is_exact_floor(self):
+        # collect_candidates floors every state below 2**64 with this one
+        # cast, past 2**53 (where doubles are even) and 2**63 (past int64) too
+        e = np.array([2.0**53, 2.0**53 + 2, 2.0**63, 2.0**64 - 2048, 2.5, 1e6 + 0.5, 2.0**52 - 0.5])
+        assert e.astype(np.uint64).tolist() == [
+            1 << 53, (1 << 53) + 2, 1 << 63, (1 << 64) - 2048, 2, 1_000_000, (1 << 52) - 1
+        ]
+
 
 class TestPersistence:
     def test_header_and_roundtrip(self, tmp_path):

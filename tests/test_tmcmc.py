@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from prime_oracle.specialfn import (
     rh_eps,
 )
 from prime_oracle.tmcmc import (
+    MOVE_COUNTERS,
     Z_MAX,
     HuntTarget,
     TargetKind,
@@ -30,6 +32,7 @@ from prime_oracle.tmcmc import (
 
 from collect import run_steps as reference_steps
 
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 P0 = 1_000_003  # prime
 K0 = 87_846  # k log k ~ p0
 ALL_MODELS = [RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT]
@@ -50,6 +53,13 @@ class TestConfig:
             TmcmcConfig(p_add=0.3, p_mult=0.8)
         with pytest.raises(DomainError):
             TmcmcConfig(add_scale=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("name", ["p_add", "p_mult", "add_scale", "mult_scale"])
+    def test_non_finite_refused(self, name, value):
+        # a nan mult_scale used to pass and stall every multiplicative move
+        with pytest.raises(DomainError, match=name):
+            TmcmcConfig(**{name: value})
 
 
 class TestLogTarget:
@@ -104,6 +114,9 @@ class TestLogTarget:
             HuntTarget(TargetKind.GENERAL_H1, 1_000_004, K0)  # composite p0
         with pytest.raises(DomainError):
             HuntTarget(TargetKind.GENERAL_H1, P0, 0)
+        # a prime past 2**64: every floor(exp(z)) + p0 would leave uint64
+        with pytest.raises(DomainError, match="below 2"):
+            HuntTarget(TargetKind.GENERAL_H1, (1 << 64) + 13, K0)
         # the MT density is negative on (2, 2.57): H2 needs p0 >= 3
         HuntTarget(TargetKind.GENERAL_H1, 2, 1, MT)
         with pytest.raises(DomainError):
@@ -247,6 +260,35 @@ class TestReproducibility:
         whole = run_steps(whole_chain, target, cfg, 4000)
         assert whole == first + rest
         assert whole_chain.snapshot() == chain.snapshot()
+
+    def test_snapshot_keys_pinned(self):
+        assert list(TmcmcChain(2.5, 7).snapshot()) == [
+            "z", "iteration", "log_density", "proposals_add", "accepts_add",
+            "proposals_mult", "accepts_mult", "auto_rejects", "rng_state",
+        ]
+        assert tuple(TmcmcChain(2.5, 7).snapshot())[3:8] == MOVE_COUNTERS
+
+    def test_stored_snapshot_resumes(self):
+        # written as JSON after 2000 steps of this chain, before the chain
+        # state became a dataclass; it must keep loading and resuming
+        target = HuntTarget(TargetKind.GENERAL_H1, P0, K0)
+        cfg = TmcmcConfig(seed=31)
+        stored = json.loads((DATA_DIR / "chain_snapshot.json").read_text())
+        assert list(stored) == list(TmcmcChain(0.0).snapshot())
+        resumed = TmcmcChain.from_snapshot(stored)
+        assert json.loads(json.dumps(resumed.snapshot())) == stored
+        whole = TmcmcChain(initial_z(target), cfg.seed)
+        states = run_steps(whole, target, cfg, 4000)
+        assert run_steps(resumed, target, cfg, 2000) == states[2000:]
+        assert resumed.snapshot() == whole.snapshot()
+
+    @pytest.mark.parametrize("key", list(TmcmcChain(0.0).snapshot()))
+    def test_snapshot_missing_key_refused(self, key):
+        # a missing counter must not silently restart at 0
+        state = TmcmcChain(1.5, 3).snapshot()
+        del state[key]
+        with pytest.raises(KeyError, match=key):
+            TmcmcChain.from_snapshot(state)
 
     def test_visited_integer_sets_identical(self):
         target = HuntTarget(TargetKind.GENERAL_H1, P0, K0)

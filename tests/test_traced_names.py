@@ -36,3 +36,17 @@ def test_traced_name_is_a_function(module, name):
 def test_log_target_factory_exists():
     tmcmc = importlib.import_module(f"{spans.PACKAGE}.tmcmc")
     assert inspect.isfunction(getattr(tmcmc, "make_log_target", None))
+
+
+def test_chain_stats_reads_the_move_counters():
+    # the traced bench run sums the chain's counters by attribute name
+    pipeline = importlib.import_module(f"{spans.PACKAGE}.pipeline")
+    tmcmc = importlib.import_module(f"{spans.PACKAGE}.tmcmc")
+    target = tmcmc.HuntTarget(tmcmc.TargetKind.GENERAL_H1, 999_983, 87_846)
+    result = pipeline.collect_candidates(target, tmcmc.TmcmcConfig(seed=3), 2000)
+    tracer = spans.Tracer()
+    spans._chain_stats(tracer, (), {}, result)
+    counted = {key.removeprefix("tmcmc."): value for key, value in tracer.counters.items()}
+    assert tuple(counted) == tmcmc.MOVE_COUNTERS
+    assert counted == {name: getattr(result.chain, name) for name in tmcmc.MOVE_COUNTERS}
+    assert counted["proposals_add"] + counted["proposals_mult"] == 2000
