@@ -15,12 +15,12 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .specialfn import (
-    GAUSS_LEGENDRE_3,
     PANEL_WIDTH,
     ErrorBoundModel,
     IntensityParams,
     Li,
     error_integral,
+    increments,
     li,
     signed_density,
 )
@@ -132,31 +132,6 @@ def _event_cells(grid_lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.repeat(np.clip(np.arange(-1, cells + 1), 0, cells - 1), runs)
 
 
-def _log_increment(model: ErrorBoundModel, params: IntensityParams, a, t):
-    """``Lambda((e^a, t])`` as ``integral_a^{log t} hazard(e^s) e^s ds``.
-
-    One 3-point Gauss-Legendre panel, exact for quintics in ``s``; ``t`` lies
-    in the bracket cell that opens at ``e^a``, so the panel is at most
-    :data:`.PANEL_WIDTH` wide, which bounds the rule's error.  The nodes are
-    added one at a time, so the rule holds one node's array at once.
-    """
-    # log(t / e^a), not log(t) - a: the ratio lies within a cell of 1, so
-    # rounding it costs an ulp of t, where rounding log t costs an ulp of
-    # log t, about log t times more
-    half = np.exp(a)
-    np.divide(t, half, out=half)
-    np.log(half, out=half)
-    half *= 0.5
-    mid = a + half
-    total = 0.0
-    for node, weight in GAUSS_LEGENDRE_3:
-        t_node = np.exp(mid + node * half)
-        t_node *= weight * _hazard(model, params, t_node)
-        total += t_node
-    total *= half
-    return total
-
-
 def simulate(
     model: ErrorBoundModel, params: IntensityParams, horizon: float, seed: int
 ) -> EventStream:
@@ -176,9 +151,9 @@ def simulate(
     round evaluates only the events still active, on arrays compacted to
     them, and evaluates no log-integral: the residual is the grid's
     cumulative intensity at the point that opens the event's first bracket
-    plus the one-panel increment from there by :func:`_log_increment`, and
-    the slope is :func:`_hazard`: four hazard evaluations per event per
-    round.  An event converges when
+    plus the one-panel increments from there by :func:`.increments`, and
+    the slope is :func:`_hazard`: three quadrature nodes and one hazard
+    evaluation per event per round.  An event converges when
     its Newton step is at most 1e-9 relative in t; that last step is taken
     (even onto a bracket end) and the event leaves the active set.  An active
     event whose step leaves its bracket is bisected instead.  Events still
@@ -241,15 +216,16 @@ def simulate(
     lo = grid_t[idx]
     hi = grid_t[idx + 1]
     t = np.clip(lo * np.exp(u * (m0[idx] + u * (c2[idx] + u * c3[idx]))), lo, hi)
-    anchor = anchors[idx]
+    start = np.exp(anchors)[idx]
     del u, idx
 
     # Newton on compacted arrays: each round keeps only the events that did
-    # not converge, with their anchor, rest, bracket and output position
+    # not converge, with their start, rest, bracket and output position
     times = None
     pos = None
     for _ in range(60):
-        resid = _log_increment(model, params, anchor, t) - rest
+        gap_li, gap_f = increments(model, start, t)
+        resid = params.alpha * gap_li + params.beta * gap_f - rest
         step = resid / _hazard(model, params, t)
         t_new = t - step
         done = np.abs(step) <= 1e-9 * np.maximum(1.0, t)
@@ -266,9 +242,9 @@ def simulate(
         hi = np.where(resid >= 0.0, t, hi[keep])
         outside = (t_new <= lo) | (t_new >= hi)
         t = np.where(outside, 0.5 * (lo + hi), t_new)
-        anchor, rest = anchor[keep], rest[keep]
+        start, rest = start[keep], rest[keep]
         # free this round's arrays before the next round makes its own
-        del resid, step, t_new, done, keep, outside
+        del gap_li, gap_f, resid, step, t_new, done, keep, outside
     else:
         raise DomainError(
             f"Newton inversion left {len(t)} of {len(times)} events unconverged "
@@ -285,20 +261,20 @@ def pnt_ratio_check(stream: EventStream, x_grid) -> list[tuple[float, float]]:
     toward 1 as x grows; with coefficient ``alpha`` they drift toward alpha.
     """
     out = []
-    for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-        if x <= math.e:
-            raise DomainError("pnt ratio needs x > e for a positive normalizer")
-        out.append((float(x), stream.count_up_to(float(x)) / (x / math.log(x))))
+    for x in np.atleast_1d(np.asarray(x_grid, dtype=float)).tolist():
+        if not (math.e < x < math.inf):  # also refuses NaN
+            raise DomainError("pnt ratio needs finite x > e for a positive normalizer")
+        out.append((x, stream.count_up_to(x) / (x / math.log(x))))
     return out
 
 
 def nth_event_check(stream: EventStream, n_grid) -> list[tuple[int, float]]:
     """Ratios ``Z_n / (n log n)`` for the requested event indices."""
     out = []
-    for n in np.atleast_1d(np.asarray(n_grid, dtype=int)):
+    for n in np.atleast_1d(np.asarray(n_grid, dtype=float)).tolist():
+        if not (2.0 <= n < math.inf):  # also refuses NaN
+            raise DomainError("nth_event_check requires finite n >= 2")
         n = int(n)
-        if n < 2:
-            raise DomainError("nth_event_check requires n >= 2")
         if n > len(stream.times):
             continue
         z_n = float(stream.times[n - 1])
@@ -317,10 +293,9 @@ def gap_window_check(
     if not (0.5 < theta < 1.0):
         raise DomainError(f"gap window exponent must lie in (1/2, 1), got {theta}")
     out = []
-    for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-        x = float(x)
-        if x <= math.e:
-            raise DomainError("gap window needs x > e")
+    for x in np.atleast_1d(np.asarray(x_grid, dtype=float)).tolist():
+        if not (math.e < x < math.inf):  # also refuses NaN
+            raise DomainError("gap window needs finite x > e")
         width = x**theta
         count = stream.count_up_to(x + width) - stream.count_up_to(x)
         out.append((x, count * math.log(x) / width))

@@ -247,8 +247,8 @@ class HuntResult:
 def solve_k(p0: float) -> int:
     """Integer k minimizing ``|k log k - p0|`` (Newton plus neighbor check)."""
     p0 = float(p0)
-    if p0 < 10.0:
-        raise DomainError(f"solve_k requires p0 >= 10, got {p0}")
+    if not (10.0 <= p0 < math.inf):  # also refuses NaN
+        raise DomainError(f"solve_k requires finite p0 >= 10, got {p0}")
     k = max(2.0, p0 / math.log(p0))
     for _ in range(80):
         step = (k * math.log(k) - p0) / (math.log(k) + 1.0)

@@ -17,7 +17,9 @@ advanced k-1 stages: :func:`posterior` gives it as a two-component
 :class:`GammaProductMixture`.  The exact posterior of all k primes
 (:func:`.nonrecursive_bayes.build`) has the same methods, and shares the
 rate checks and the predictive's gaps (:func:`_checked_rates`,
-:func:`_predictive_gaps`).
+:func:`_predictive_gaps`, which sums :func:`.increments` over log panels).
+The mixture weights are closed-form too: by ``Gamma(s+1) = s Gamma(s)``
+they need no log-gamma values.
 
 The posterior trajectory across checkpoints is the package's diagnostic
 instrument: the alpha mean approaches 1 under every error model (the
@@ -35,8 +37,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import (GAUSS_LEGENDRE_3, PANEL_WIDTH, ErrorBoundModel, Li, error_density,
-                        error_integral, li, MT_DECAY_CONSTANT, positive_density_floor)
+from .specialfn import (PANEL_WIDTH, ErrorBoundModel, Li, error_density, error_integral,
+                        increments, li, MT_DECAY_CONSTANT, positive_density_floor)
 
 __all__ = [
     "Hyperparameters", "RecursionState", "Moments", "GammaProductMixture", "TrajectoryRow",
@@ -45,8 +47,6 @@ __all__ = [
     "asymptotic_form_table", "model_compare_log_ratio",
 ]
 
-
-_GL_NODES, _GL_WEIGHTS = np.array(GAUSS_LEGENDRE_3).T
 
 #: Largest posterior rate, and the reciprocal of the smallest: the variances
 #: divide by ``rate**2``, which overflows (raising) above about 2**512 and
@@ -216,37 +216,22 @@ def _predictive_gaps(state: RecursionState, t: float) -> tuple[float, float, flo
     """``li(t)``, ``f(t)`` and the rate gaps ``A' - A``, ``B' - B`` of a predictive at ``t``.
 
     Both engines' predictives take their domain check from here.  The gaps
-    are integrated over ``[t_last, t]``, not differenced: near 1e6 two rounded
-    values lose 1e-10 of a gap between neighbouring primes.
+    are the :func:`.increments` over ``(t_last, t]`` split into equal panels
+    in log t of at most :data:`.PANEL_WIDTH`, so a gap of at most 1% of
+    ``t_last`` is one panel and ``(2, e**80]`` 7,931.
     """
-    t = float(t)
-    if not (state.t_last < t < math.inf):
+    t0, t = state.t_last, float(t)
+    if not (t0 < t < math.inf):
         raise DomainError("predictive point must be finite and exceed the last prime")
     f_t = error_density(state.model, t)
     if f_t <= 0.0:
         raise DomainError("error density not positive at the predictive point")
-    nodes, weights = _gap_rule(state.t_last, t)
-    gap_a = float(li(nodes) @ weights)
-    gap_b = float(error_density(state.model, nodes) @ weights)
-    return li(t), f_t, gap_a, gap_b
-
-
-def _gap_rule(t0: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 3-point Gauss-Legendre in t over ``[t0, t]``.
-
-    The panels are equal in log t and at most :data:`.PANEL_WIDTH` wide there,
-    so a gap of at most 1% of ``t0`` is one panel and ``(2, e**80]`` 7,931.
-    Against 40-digit mpmath the four models' integrals over 150 prime gaps
-    from 1e4 to 1e6 err by at most 2.2e-16 relative for ``li`` and 1.1e-15
-    for ``f``; over wide intervals by 1.5e-15, or 1e-14 for the x-over-log
-    and MT densities from ``t0 = 3``, just above their zeros.
-    """
     log_ratio = math.log1p((t - t0) / t0)
     panels = math.ceil(log_ratio / PANEL_WIDTH)
     edges = t0 * np.exp(np.arange(panels + 1) * (log_ratio / panels))
     edges[0], edges[-1] = t0, t
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    gap_a, gap_b = increments(state.model, edges[:-1], edges[1:])
+    return li(t), f_t, float(gap_a.sum()), float(gap_b.sum())
 
 
 def _checked_rates(state: RecursionState):
@@ -267,14 +252,13 @@ def posterior(state: RecursionState) -> GammaProductMixture:
     It is the exact one-prime posterior under the prior advanced k-1 stages:
     base shapes ``a0 = gamma + k - 1``, ``b0 = xi + k - 1`` and coefficients
     ``c_0 = f(t_k)``, ``c_1 = li(t_k)``; component r weighs ``c_r
-    Gamma(a0+r) / A**(a0+r) * Gamma(b0+1-r) / B**(b0+1-r)``.  The log weights,
-    of order ``k log k``, are normalized by their maximum, not their log-sum,
-    which would leave the weights summing to 1 only within ``k log k`` ulps.
-    A state of several stages gives their mixtures in one, the components on
-    the last axis.
+    Gamma(a0+r) / A**(a0+r) * Gamma(b0+1-r) / B**(b0+1-r)``.  By
+    ``Gamma(s+1) = s Gamma(s)`` the two weights are proportional to
+    ``c_0 b0 A`` and ``c_1 a0 B``: their logs, of order ``log k``, are
+    normalized by their log-sum, where differencing ``log Gamma`` values of
+    order ``k log k`` would lose ``k log k`` ulps.  A state of several stages
+    gives their mixtures in one, the components on the last axis.
     """
-    from scipy.special import gammaln
-
     t = state.t_last
     c2 = error_density(state.model, t)
     _refuse(c2 <= 0.0, "error density is not positive at t={:g}; start the recursion at {} "
@@ -284,17 +268,13 @@ def posterior(state: RecursionState) -> GammaProductMixture:
     _refuse((a0 <= 0.0) | (b0 <= 0.0), "improper posterior component: base shapes {}, {}",
             a0, b0)
     ra, rb = _checked_rates(state)
-    coeffs = np.empty(np.shape(t) + (2,))
-    coeffs[..., 0], coeffs[..., 1] = c2, li(t)
-    log_c = np.log(coeffs)
     r = np.arange(2, dtype=float)
     shape_a, shape_b = np.add.outer(a0, r), np.subtract.outer(b0 + 1, r)
-    lw = (log_c + gammaln(shape_a) - shape_a * np.log(ra)[..., None]
-          + gammaln(shape_b) - shape_b * np.log(rb)[..., None])
-    lw = lw - lw.max(axis=-1, keepdims=True)
-    w = np.exp(lw)
-    total = w.sum(axis=-1, keepdims=True)
-    return GammaProductMixture(state, w / total, lw - np.log(total), shape_a, shape_b)
+    lw = np.empty(np.shape(t) + (2,))
+    lw[..., 0] = np.log(c2) + np.log(b0) + np.log(ra)
+    lw[..., 1] = np.log(li(t)) + np.log(a0) + np.log(rb)
+    lw -= np.logaddexp(lw[..., 0], lw[..., 1])[..., None]
+    return GammaProductMixture(state, np.exp(lw), lw, shape_a, shape_b)
 
 
 def posterior_mean_alpha(state: RecursionState) -> float:

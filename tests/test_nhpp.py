@@ -214,15 +214,17 @@ class TestSimulate:
         # the cumulative intensity (expi) runs on the total and the bracket
         # grid only, one cell per panel width in log t, and the hazard runs
         # once on the grid for the slopes of the cubic-Hermite start.  Each
-        # Newton round evaluates the hazard at the three Gauss-Legendre nodes
-        # and at the iterate, and converged events leave the loop.  From the
-        # Hermite start every event converged in the first round (seeds 6-15,
-        # each model and horizon here); the slack lets four events take a
-        # second round
+        # Newton round takes the increments once per event for the residual
+        # and the hazard at the iterate for the slope, and converged events
+        # leave the loop.  From the Hermite start every event converged in
+        # the first round (seeds 6-15, each model and horizon here); the
+        # slack lets four events take a second round
         asked = []
         hazard_elements = []
+        increment_elements = []
         real = nhpp.cumulative_intensity
         real_hazard = nhpp._hazard
+        real_increments = nhpp.increments
 
         def counting(model, params, x1, x2):
             asked.append(np.size(x2))
@@ -232,12 +234,19 @@ class TestSimulate:
             hazard_elements.append(np.size(t))
             return real_hazard(model, params, t)
 
+        def counting_increments(model, t0, t):
+            increment_elements.append(np.broadcast(t0, t).size)
+            return real_increments(model, t0, t)
+
         monkeypatch.setattr(nhpp, "cumulative_intensity", counting)
         monkeypatch.setattr(nhpp, "_hazard", counting_hazard)
+        monkeypatch.setattr(nhpp, "increments", counting_increments)
         stream = simulate(model, NEAR_PNT, horizon, seed=6)
+        events = len(stream.times)
         cells = math.ceil(math.log(horizon / 2.0) / PANEL_WIDTH)
         assert sorted(asked) == [1, 1 + cells]
-        assert sum(hazard_elements) <= 4 * len(stream.times) + (cells + 1) + 4 * 4
+        assert sum(hazard_elements) <= events + (cells + 1) + 4
+        assert sum(increment_elements) <= events + 4
 
     @pytest.mark.parametrize("horizon", [10.0, 1e4], ids=["10", "1e4"])
     @pytest.mark.parametrize(
@@ -268,15 +277,11 @@ class TestSimulate:
     def test_unconverged_events_are_loud(self, monkeypatch):
         # a slope 100 times too steep makes every Newton step 1% of the way
         # to the root, so the round cap is reached with events still moving.
-        # The residual integrates the same hazard, so its increment is
-        # scaled back to keep the root where it was.
+        # The residual integrates the densities without the hazard, so the
+        # root stays where it was.
         real = nhpp._hazard
-        real_increment = nhpp._log_increment
         monkeypatch.setattr(
             nhpp, "_hazard", lambda model, params, t: 100.0 * real(model, params, t)
-        )
-        monkeypatch.setattr(
-            nhpp, "_log_increment", lambda *args: real_increment(*args) / 100.0
         )
         with pytest.raises(DomainError, match="unconverged"):
             simulate(RH_SQRT, NEAR_PNT, 1e4, seed=3)
@@ -444,3 +449,23 @@ class TestRatioChecks:
         gap_window_check(stream, 0.51, [1e3])
         with pytest.raises(DomainError):
             gap_window_check(stream, 0.5, [1e3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_pnt_ratio_refuses_non_finite(self, bad):
+        stream = simulate(RH_SQRT, UNIT, 1e4, seed=2)
+        [(x, ratio)] = pnt_ratio_check(stream, [1e3])
+        assert type(x) is float and type(ratio) is float
+        with pytest.raises(DomainError, match="finite"):
+            pnt_ratio_check(stream, [1e3, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nth_event_refuses_non_finite(self, bad):
+        stream = simulate(RH_SQRT, UNIT, 1e4, seed=2)
+        with pytest.raises(DomainError, match="finite"):
+            nth_event_check(stream, [10, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_gap_window_refuses_non_finite(self, bad):
+        stream = simulate(RH_SQRT, UNIT, 1e4, seed=2)
+        with pytest.raises(DomainError, match="finite"):
+            gap_window_check(stream, 0.75, [1e3, bad])

@@ -58,6 +58,11 @@ class TestSolveK:
         with pytest.raises(DomainError):
             solve_k(9.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            solve_k(bad)
+
 
 @pytest.fixture(scope="module")
 def general_hunt(tmp_path_factory):

@@ -221,6 +221,33 @@ class TestPosterior:
         assert np.all(mix.w >= 0)
         assert np.all(mix.shape_a > 0) and np.all(mix.shape_b > 0)
 
+    @pytest.mark.parametrize("model", [RH_SQRT, MT, X_OVER_LOG], ids=lambda m: m.label)
+    @pytest.mark.parametrize(
+        "k, t", [(78_498, 999_983.0), (5_761_455, 99_999_989.0)], ids=["1e6", "1e8"]
+    )
+    def test_weights_match_mpmath(self, model, k, t):
+        # the gamma-function form of the weights at 50 digits, on the same
+        # float coefficients and rates.  Differencing log Gamma values of
+        # order k log k erred by 1.5e-11 to 1e-10 relative in w[1] at
+        # k = 78498 and 7.6e-10 to 5.8e-9 at k = 5761455; the closed form
+        # by at most 2.3e-15
+        mp = pytest.importorskip("mpmath")
+        state = rb.state_at(FLAT, model, k, t)
+        got = rb.posterior(state).w[1]
+        with mp.workdps(50):
+            ra, rb_ = mp.mpf(state.sum_b1), mp.mpf(state.sum_b2)
+
+            def log_weight(c, sa, sb):
+                return (mp.log(c) + mp.loggamma(sa) - sa * mp.log(ra)
+                        + mp.loggamma(sb) - sb * mp.log(rb_))
+
+            # flat prior: base shapes a0 = b0 = k
+            w0 = log_weight(mp.mpf(error_density(model, t)), k, k + 1)
+            w1 = log_weight(mp.mpf(li(t)), k + 1, k)
+            expected = 1 / (1 + mp.exp(w0 - w1))
+            err = float(abs(mp.mpf(got) / expected - 1))
+        assert err <= 4e-15, err
+
     def test_mixture_normalizes_by_quadrature(self, state_k5):
         mix = rb.posterior(state_k5)
         total = box_integrals(mix.pdf, 80.0)

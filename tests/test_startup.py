@@ -2,10 +2,10 @@
 without loading scipy.
 
 Importing ``scipy.special`` costs about as much as the rest of the package's
-start-up together, so ``specialfn.Li`` and the posterior's ``gammaln`` users
-import it on first use.  The probe runs in a fresh interpreter (this one has
-scipy loaded by the test configuration) and records after each step whether
-scipy is in ``sys.modules``.  ``diagnose`` evaluates ``Li``, so scipy must be
+start-up together, so ``specialfn.Li`` and the posteriors' ``pdf`` (through
+``gammaln``) import it on first use.  The probe runs in a fresh interpreter
+(this one has scipy loaded by the test configuration) and records after each
+step whether scipy is in ``sys.modules``.  ``diagnose`` evaluates ``Li``, so scipy must be
 loaded once it has run: that shows the probe can see a loaded scipy.
 """
 
