@@ -45,7 +45,7 @@ from .recursive_bayes import (
     trajectory,
 )
 from .nonrecursive_bayes import equivalence_report
-from .tmcmc import HuntTarget, TargetKind, TmcmcChain, TmcmcConfig, log_target, run
+from .tmcmc import HuntTarget, TargetKind, TmcmcChain, TmcmcConfig
 from .pipeline import (
     CandidateRecord,
     HuntPlan,

@@ -38,9 +38,11 @@ __all__ = [
 
 
 #: Largest expected event count ``Lambda((2, horizon])`` that :func:`simulate`
-#: will draw.  One draw peaks near 129 bytes per event (``ru_maxrss``,
-#: rh-sqrt at 1e7), so 2**23 events take about 1.1 GB; at alpha = 1,
-#: beta = 0 that is horizon 1.49e8.  The bracket grid needs no ceiling: its
+#: will draw.  One draw at 1e7 (rh-sqrt, alpha = beta = 1, seed 1: 717,731
+#: events) raises ``ru_maxrss`` by 106 bytes per event over the import with
+#: scipy loaded, and its total ``ru_maxrss`` is 185 bytes per event; so
+#: 2**23 events take about 0.89 GB over the import, or 1.56 GB at the total's
+#: rate.  At alpha = 1, beta = 0 the ceiling is horizon 1.49e8.  The bracket grid needs no ceiling: its
 #: cells are :data:`.PANEL_WIDTH` in log t, 69,009 at horizon 1e300.
 NHPP_EVENT_CEILING = 1 << 23
 

@@ -45,9 +45,7 @@ __all__ = [
     "TmcmcConfig",
     "TmcmcChain",
     "make_log_target",
-    "log_target",
     "initial_z",
-    "run",
     "run_steps",
 ]
 
@@ -147,13 +145,6 @@ def make_log_target(target: HuntTarget) -> Callable[[float], float]:
         return out
 
     return log_t
-
-
-def log_target(target: HuntTarget, z: float) -> float:
-    """Evaluate the hunt log-target at ``z``, raising outside the safe range."""
-    if z > Z_MAX:
-        raise DomainError(f"z={z:g} exceeds the safe evaluation range {Z_MAX}")
-    return make_log_target(target)(z)
 
 
 def initial_z(target: HuntTarget) -> float:
@@ -279,9 +270,3 @@ def run_steps(chain: TmcmcChain, target, config: TmcmcConfig, iterations: int) -
     chain.accepts_mult += accs_mult
     chain.auto_rejects += auto
     return zs
-
-
-def run(target, config: TmcmcConfig, iterations: int) -> list[float]:
-    """The states of a fresh seeded chain advanced for ``iterations`` steps."""
-    chain = TmcmcChain(initial_z(target), config.seed)
-    return run_steps(chain, target, config, iterations)

@@ -45,7 +45,7 @@ from prime_oracle.specialfn import (
     Li,
     rh_eps,
 )
-from prime_oracle.tmcmc import TmcmcChain, TmcmcConfig, run, run_steps
+from prime_oracle.tmcmc import TmcmcChain, TmcmcConfig, initial_z, run_steps
 
 from test_numtheory import mersenne_smallest_factor, trial_division_is_prime
 
@@ -407,9 +407,11 @@ def test_criterion_11_kernel_exactness():
     from prime_oracle.tmcmc import HuntTarget, TargetKind
 
     target = HuntTarget(TargetKind.MERSENNE_H1, 999983, 87846)
-    rerun_ok = list(run(target, TmcmcConfig(seed=5), 20_000)) == list(
-        run(target, TmcmcConfig(seed=5), 20_000)
-    )
+
+    def states():
+        return run_steps(TmcmcChain(initial_z(target), 5), target, TmcmcConfig(seed=5), 20_000)
+
+    rerun_ok = states() == states()
     ok = db_ok and ks <= 0.01 and rerun_ok
     verdict(11, "kernel: detailed balance, exact law, reproducibility", ok, f"ks={ks:.4f}")
     assert db_ok

@@ -1,13 +1,19 @@
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import random
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from prime_oracle import numtheory, pipeline
+from prime_oracle import numtheory, pipeline, tmcmc
 from prime_oracle.errors import DomainError
 from prime_oracle.numtheory import is_prime_u64, mersenne_digit_count, primes_up_to
 from prime_oracle.pipeline import (
@@ -159,6 +165,124 @@ class TestHuntGeneralRounds:
         assert result.records
         assert all(rec.iteration_found > 20_000 for rec in result.records)
         assert result.stats.iterations == 2 * (20_000 + 30_000)
+
+
+#: Runs a hunt too long to finish and prints the worker chain's pid once it starts.
+KILLED_HUNT = r"""
+import os
+from prime_oracle import pipeline
+
+pipeline.os.sched_getaffinity = lambda pid: {0, 1}
+collect, caller = pipeline.collect_candidates, os.getpid()
+
+def announced(*args):
+    if os.getpid() != caller:
+        print(os.getpid(), flush=True)
+    return collect(*args)
+
+pipeline.collect_candidates = announced
+pipeline.hunt_general(pipeline.HuntPlan(p0=999_983, iterations=10**8))
+"""
+
+
+def _env_with_src():
+    src = str(pathlib.Path(pipeline.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+
+
+def _ended(pid):
+    """Whether ``pid`` has exited: gone, or a zombie no one has reaped yet."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="chains run in workers on Linux only")
+class TestHuntChainsInWorkers:
+    """A round's second chain runs in a forked worker when two CPUs are usable."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def _rounds(monkeypatch):
+        """Whether each round had a pool, and its chains' final snapshots."""
+        rounds = []
+        collect_round = pipeline._collect_round
+
+        def recorded(pool, *args):
+            results = collect_round(pool, *args)
+            rounds.append((pool is not None, [r.chain.snapshot() for r in results]))
+            return results
+
+        monkeypatch.setattr(pipeline, "_collect_round", recorded)
+        return rounds
+
+    def test_forked_matches_one_cpu(self, tmp_path, monkeypatch):
+        first = tmp_path / "first.jsonl"
+        hunt_general(HuntPlan(p0=P0, iterations=5000, config=TmcmcConfig(seed=8), out_path=first))
+        outcomes = {}
+        for cpus in (2, 1):
+            out = tmp_path / f"cpus{cpus}.jsonl"
+            out.write_bytes(first.read_bytes())
+            self._cpus(monkeypatch, cpus)
+            rounds = self._rounds(monkeypatch)
+            plan = HuntPlan(p0=P0, iterations=20_000, rounds=2, config=TmcmcConfig(seed=9),
+                            out_path=out)
+            result = hunt_general(plan)
+            assert [pooled for pooled, _ in rounds] == [cpus > 1] * 2
+            outcomes[cpus] = (result.records, result.stats.summary(),
+                              result.stats.intersection_report(),
+                              [snaps for _, snaps in rounds], out.read_bytes())
+        assert outcomes[2][0]  # the file held some primes; the hunt found others
+        assert outcomes[2] == outcomes[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("refused", [TargetKind.GENERAL_H1, TargetKind.GENERAL_H2],
+                             ids=["in-caller", "in-worker"])
+    def test_chain_error_reaches_the_caller(self, refused, monkeypatch):
+        def refusing(target):
+            if target.kind is refused:
+                raise DomainError(f"refused in process {os.getpid()}")
+            return tmcmc.make_log_target(target)
+
+        self._cpus(monkeypatch, 2)
+        monkeypatch.setattr(pipeline, "make_log_target", refusing)
+        with pytest.raises(DomainError, match=r"^refused in process \d+$") as caught:
+            hunt_general(HuntPlan(p0=P0, iterations=2000, config=TmcmcConfig(seed=4)))
+        assert type(caught.value) is DomainError
+        pid = int(caught.value.args[0].rsplit(" ", 1)[1])
+        assert (pid == os.getpid()) == (refused is TargetKind.GENERAL_H1)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dies_with_a_killed_caller(self):
+        # a caller killed by SIGTERM never shuts its pool down
+        with subprocess.Popen([sys.executable, "-c", KILLED_HUNT], env=_env_with_src(),
+                              stdout=subprocess.PIPE, text=True) as done:
+            try:
+                worker = int(done.stdout.readline())
+            finally:
+                done.terminate()
+        assert worker != done.pid
+        assert done.returncode == -signal.SIGTERM
+        deadline = time.monotonic() + 20
+        while not _ended(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        ended = _ended(worker)
+        if not ended:
+            os.kill(worker, signal.SIGKILL)
+        assert ended, f"worker {worker} outlived its caller"
+
+    def test_mersenne_runs_in_the_caller(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        rounds = self._rounds(monkeypatch)
+        hunt_mersenne(HuntPlan(p0=TWIN_P0, iterations=2000, config=TmcmcConfig(seed=4)))
+        assert [pooled for pooled, _ in rounds] == [False]
 
 
 class TestHuntMersenne:

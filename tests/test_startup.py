@@ -1,5 +1,5 @@
 """Start-up guard: the commands that never evaluate ``Li`` or ``gammaln`` run
-without loading scipy.
+without loading scipy, and importing the CLI loads no process pool.
 
 Importing ``scipy.special`` costs about as much as the rest of the package's
 start-up together, so ``specialfn.Li`` and the posteriors' ``pdf`` (through
@@ -7,6 +7,8 @@ start-up together, so ``specialfn.Li`` and the posteriors' ``pdf`` (through
 (this one has scipy loaded by the test configuration) and records after each
 step whether scipy is in ``sys.modules``.  ``diagnose`` evaluates ``Li``, so scipy must be
 loaded once it has run: that shows the probe can see a loaded scipy.
+``hunt`` imports ``multiprocessing`` and ``concurrent.futures`` only when it
+runs its chains in worker processes, so neither is loaded by the import.
 """
 
 import json
@@ -38,12 +40,13 @@ steps = [
     ("diagnose", ["diagnose", "--model", "rh-sqrt", "--limit", "1000",
         "--out", str(tmp / "diag.csv")]),
 ]
+pools = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 seen = [("import", 0, "scipy" in sys.modules)]
 for name, argv in steps:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     seen.append((name, code, "scipy" in sys.modules))
-print(json.dumps(seen))
+print(json.dumps({"pools": pools, "seen": seen}))
 """
 
 
@@ -56,7 +59,9 @@ def test_scipy_loads_only_where_li_or_gammaln_runs(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    seen = {name: (code, loaded) for name, code, loaded in json.loads(done.stdout)}
+    probe = json.loads(done.stdout)
+    assert probe["pools"] == []
+    seen = {name: (code, loaded) for name, code, loaded in probe["seen"]}
     assert list(seen) == [
         "import",
         "verify",
