@@ -59,6 +59,7 @@ __all__ = [
     "load_records",
     "collect_candidates",
     "mersenne_small_factor",
+    "trial_factor_batch",
 ]
 
 #: Version stamp written as the first line of every CSV / JSON-lines output.
@@ -70,18 +71,23 @@ _U64_LIMIT = 1 << 64
 #: ``1_000`` and non-ASCII digits such as ``\u0661\u0663``.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
-#: Odd primes below this bound strike the trial divisors ``q = 2mp + 1``
-#: they divide before any powering.  Each prime adds a fixed cost per call,
-#: which 38-bit calls do not repay above 2**12.  Measured on a 2-core Xeon
-#: near p = 1e6: 2**11 costs the same at 38 bits and 13% more at 44 bits;
-#: 2**13 costs 16% more at 38 bits and the same at 44 bits.
+#: Odd primes below this bound, and below a quarter of a block's row width,
+#: strike the trial divisors ``q = 2mp + 1`` they divide before any
+#: powering.  Each prime adds a fixed cost per block, which 38-bit sweeps do
+#: not repay above 2**12.  Measured on a 2-core Xeon near p = 1e6: 2**11
+#: costs the same at 38 bits and 13% more at 44 bits; 2**13 costs 16% more
+#: at 38 bits and the same at 44 bits.  Rows of 3,900 values of m (40 bits
+#: near p = 1.4e8) took 0.12-0.15 ms per exponent with primes below a
+#: quarter of the width, 0.17-0.24 ms with all below the width, and the
+#: same with an eighth.
 _TF_SMALL_PRIME_BOUND = 1 << 12
 
-#: Values of ``m`` per block of the trial-factoring sweep: 256 KB of flags.
-#: About 13% of them survive the strikes, and half of those the mod-8 test,
-#: so with its ``uint64`` candidate arrays a block holds about 1 MB of
-#: scratch, as one sieve segment does.  Measured 10% faster at 44 bits than
-#: 2**20 and level with 2**17.
+#: Lanes (values of ``m``, over one or more exponents) per block of the
+#: trial-factoring sweep: 256 KB of flags.  About 13% of them survive the
+#: small-prime strikes, and half of those the mod-8 strikes, so with its
+#: ``uint64`` candidate arrays a block holds about 1 MB of scratch, as one
+#: sieve segment does.  Measured 10% faster at 44 bits than 2**20 and level
+#: with 2**17.
 _TF_BLOCK = 1 << 18
 
 #: ``prctl`` option from ``<linux/prctl.h>``: the signal a process gets when
@@ -350,8 +356,9 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
     Each chain runs ``burn_in + iterations`` steps with seed ``config.seed +
     len(kinds) * round + offset``; the primes it first visits after the
     burn-in, less those already in ``plan.out_path`` (and, for Mersenne
-    targets, those trial factoring removes), become records.  Each later
-    round re-seats p0 on the largest prime found and re-calibrates k.
+    targets, those one :func:`trial_factor_batch` call per round factors
+    out), become records.  Each later round re-seats p0 on the largest prime
+    found and re-calibrates k.
 
     The chains of a round share nothing until their candidates merge, so
     with two or more usable cores the first runs in this process while the
@@ -388,10 +395,14 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
                 stats.skipped_oversize += oversize
                 stats.distinct_candidates += len(visited)
                 prime_set = stats.primes_by_target.setdefault(kind.value, set())
-                for value, it in sorted(visited.items()):
-                    if not is_prime_u64(value):
-                        continue
-                    if bits is not None and mersenne_small_factor(value, bits) is not None:
+                primes = [(v, it) for v, it in sorted(visited.items()) if is_prime_u64(v)]
+                factors = (
+                    trial_factor_batch([v for v, _ in primes], bits)
+                    if bits is not None
+                    else [None] * len(primes)
+                )
+                for (value, it), factor in zip(primes, factors):
+                    if factor is not None:
                         stats.factored_out += 1
                         continue
                     prime_set.add(value)
@@ -416,7 +427,9 @@ def _chain_pool(chains: int):
 
     None (the chains run in turn) when there is one chain, one usable core,
     or a platform other than Linux, where :func:`_end_with` has no
-    ``prctl``.  Leaving the block joins every worker, on error too.  The
+    ``prctl``.  Leaving the block normally joins every worker; leaving it by
+    an exception (a ``KeyboardInterrupt`` too) kills them first, so the
+    caller does not wait for a chain whose result no one will read.  The
     workers are forked: a spawned one would first import the package (about
     0.15 s), longer than a chain of 1e5 steps takes.
     """
@@ -433,7 +446,13 @@ def _chain_pool(chains: int):
         initializer=_end_with,
         initargs=(os.getpid(),),
     ) as pool:
-        yield pool
+        try:
+            yield pool
+        except BaseException:
+            for worker in list(pool._processes.values()):
+                worker.kill()
+                worker.join()
+            raise
 
 
 def _end_with(caller: int) -> None:
@@ -466,55 +485,76 @@ def _collect_round(pool, jobs, steps: int, burn_in: int) -> list[CollectResult]:
     return [collect_candidates(*jobs[0], steps, burn_in), *(f.result() for f in futures)]
 
 
+def trial_factor_batch(ps: Iterable[int], bits) -> list[int | None]:
+    """Smallest factor ``q = 2mp + 1`` of ``2**p - 1`` below ``2**bits``, per exponent.
+
+    ``bits`` is one int for every exponent or one per exponent, each in
+    [2, 48], and every ``p`` must be prime.  Where ``isqrt(2**p - 1) + 1`` is
+    below ``2**bits`` it is the bound instead, so ``2**p - 1`` is never its
+    own answer and a factor found proves it composite.  The answers come in
+    input order, None where no factor lies under the bound.
+
+    All exponents share one sweep over (p, m) lanes.  Level by level, each
+    exponent still without a factor takes the next :data:`_TF_BLOCK` values
+    of ``m``; those rows, ordered by their number of ``m``, are packed into
+    blocks of about ``_TF_BLOCK`` lanes, and :func:`_sweep_rows` settles a
+    block at once.  Striking composite ``q`` there cannot change an answer:
+    every prime factor of ``2**p - 1`` has this form, so the smallest divisor
+    of this form is prime.
+    """
+    ps = [int(p) for p in ps]
+    if isinstance(bits, (int, np.integer)):
+        _check_trial_factor_bits(bits)
+        levels = [bits] * len(ps)
+    else:
+        levels = list(bits)
+        for b in levels:
+            _check_trial_factor_bits(b)
+    if len(levels) != len(ps):
+        raise DomainError(f"{len(levels)} trial-factor bit levels for {len(ps)} exponents")
+    for p in ps:
+        if not is_prime_u64(p):
+            raise DomainError(f"trial factoring needs a prime exponent, got {p}")
+    m_max = []  # the largest m with q under its exponent's bound
+    for p, b in zip(ps, levels):
+        limit = 1 << int(b)
+        if p <= 2 * b:  # only then can 2**b reach past sqrt(2**p - 1)
+            limit = min(limit, math.isqrt((1 << p) - 1) + 1)
+        m_max.append((limit - 2) // (2 * p))
+    found: list[int | None] = [None] * len(ps)
+    todo = sorted((i for i, top in enumerate(m_max) if top >= 1), key=m_max.__getitem__)
+    lo = 1
+    while todo:
+        # this level, each exponent in todo sweeps m in [lo, lo + _TF_BLOCK)
+        widths = [min(m_max[i] - lo + 1, _TF_BLOCK) for i in todo]
+        start = 0
+        while start < len(todo):
+            stop = start + 1  # widths ascend, so the last row of a block is its widest
+            while stop < len(todo) and (stop + 1 - start) * widths[stop] <= _TF_BLOCK:
+                stop += 1
+            rows = todo[start:stop]
+            hit_rows, hit_q = _sweep_rows(
+                np.array([ps[i] for i in rows], dtype=np.int64),
+                np.array([m_max[i] for i in rows], dtype=np.int64),
+                lo,
+                widths[stop - 1],
+            )
+            for row, q in zip(hit_rows.tolist(), hit_q.tolist()):
+                found[rows[row]] = q
+            start = stop
+        lo += _TF_BLOCK
+        todo = [i for i in todo if found[i] is None and m_max[i] >= lo]
+    return found
+
+
 def mersenne_small_factor(p: int, bits: int) -> int | None:
     """Smallest factor of ``2**p - 1`` of the form ``q = 2mp + 1 < 2**bits``.
 
-    ``p`` must be prime.  The ``q`` are swept in blocks of :data:`_TF_BLOCK`
-    values of ``m``, one flag byte each.  In each block, every ``q`` with an
-    odd prime factor ``s < _TF_SMALL_PRIME_BOUND`` (other than ``q == s``)
-    is struck: those are the ``m = -(2p)**-1 (mod s)``, struck with strided
-    writes as in :func:`.numtheory.primes_up_to`.  Of the rest, only the
-    ``q`` congruent to +-1 mod 8 can divide a Mersenne number, and
-    :func:`_pow2_mod` tests them all at once as ``2**p mod q == 1``, so
-    ``2**p - 1`` itself is never materialized.  Striking composite ``q``
-    cannot change the answer: every prime factor of ``2**p - 1`` has this
-    form, so the smallest divisor of this form is prime.  Returns None when
-    no factor lies under the bound, or under ``isqrt(2**p - 1)`` where that
-    is lower.
+    The one-exponent view of :func:`trial_factor_batch`, with its bound,
+    answers and refusals: None when no factor lies under ``2**bits``, or
+    under ``isqrt(2**p - 1)`` where that is lower.
     """
-    _check_trial_factor_bits(bits)
-    p = int(p)
-    if not is_prime_u64(p):
-        raise DomainError(f"trial factoring needs a prime exponent, got {p}")
-    limit = 1 << bits
-    if p <= 2 * bits:  # only then can 2**bits reach past sqrt(2**p - 1)
-        limit = min(limit, math.isqrt((1 << p) - 1) + 1)
-    two_p = 2 * p
-    m_max = (limit - 2) // two_p  # the largest m with q < limit
-    if m_max < 1:
-        return None
-    # the first m >= 1 at which s strikes: its q is a multiple of s above s
-    strikes = []
-    for s in _small_odd_primes():
-        if s == p:
-            continue
-        first = -pow(two_p, -1, s) % s
-        strikes.append((s, first + s if two_p * first + 1 == s else first))
-    for lo in range(1, m_max + 1, _TF_BLOCK):
-        keep = np.ones(min(_TF_BLOCK, m_max + 1 - lo), dtype=bool)
-        for s, first in strikes:
-            start = first - lo
-            keep[start if start >= 0 else start % s :: s] = False
-        q = np.flatnonzero(keep).astype(np.uint64)
-        q += lo
-        q *= two_p
-        q += 1
-        octant = q & 7
-        q = q[(octant == 1) | (octant == 7)]
-        hits = np.flatnonzero(_pow2_mod(p, q, bits) == 1)
-        if len(hits):
-            return int(q[hits[0]])
-    return None
+    return trial_factor_batch([p], bits)[0]
 
 
 def _check_trial_factor_bits(bits: int) -> None:
@@ -522,43 +562,129 @@ def _check_trial_factor_bits(bits: int) -> None:
         raise DomainError("trial-factor bits must lie in [2, 48]")
 
 
-@functools.lru_cache(maxsize=1)
-def _small_odd_primes() -> tuple[int, ...]:
-    """The odd primes below :data:`_TF_SMALL_PRIME_BOUND`, sieved once."""
-    return tuple(primes_up_to(_TF_SMALL_PRIME_BOUND).primes[1:].tolist())
+def _sweep_rows(p: np.ndarray, m_max: np.ndarray, lo: int, width: int):
+    """Each row's smallest factor ``q = 2mp + 1`` with ``lo <= m < lo + width``.
 
-
-def _pow2_mod(p: int, q: np.ndarray, bits: int) -> np.ndarray:
-    """``2**p mod q`` for a ``uint64`` array of ``q < 2**bits``, bits in [2, 48].
-
-    Left-to-right binary powering, preloaded with ``2**e mod q`` for the top
-    five bits ``e`` of ``p``.  Each square ``r * r mod q`` is taken limb by
-    limb, most significant first, with the multiplier split into limbs of
-    ``w = 63 - bits`` bits: the running residue shifted by ``w`` and ``r``
-    times a limb each stay below ``2**63``, so their sum is exact in
-    ``uint64`` and one reduction per limb suffices (four limbs at 48 bits,
-    two at 38, one at 31 and below).
+    ``p`` and ``m_max`` hold one prime exponent and its largest ``m`` per
+    row, ``m_max`` ascending; returns the rows with a factor and their
+    factors.  One flag per (row, m) lane.  Each odd prime ``s`` below
+    :data:`_TF_SMALL_PRIME_BOUND` and ``width / 4``, other than an exponent
+    of the block, strikes every ``q`` it divides other than ``q == s``: in
+    a row those are the ``m = -(2p)**-1 (mod s)``, one strided write for all
+    rows (:func:`_strike`).  Only ``q`` congruent to +-1 mod 8 can divide a
+    Mersenne number, so ``m`` congruent to 2 or ``p`` mod 4 is struck the
+    same way.  :func:`_pow2_mod` tests the rest at once as ``2**p mod q ==
+    1``, with one exponent per lane, so ``2**p - 1`` is never materialized.
     """
-    w = 63 - bits
-    limbs = -(-bits // w)
-    mask = np.uint64((1 << w) - 1)
-    shift = max(p.bit_length() - 5, 0)
-    r = np.uint64(1 << (p >> shift)) % q
+    rows = len(p)
+    s = _small_odd_primes()
+    s = s[s < width // 4]
+    s = s[~np.isin(s, p)]
+    # first[i, j]: the m in [1, s_j) at which s_j divides q in row i
+    first = s - _inverse_mod((2 * p[:, None] % s).astype(np.int32), s.astype(np.int32))
+    col = (first - lo) % s
+    # each row is padded to take whole periods of every s, and of 4
+    stride = width + max(int(s[-1]) if len(s) else 0, 4)
+    keep = np.ones((rows, stride), dtype=bool)
+    _strike(keep, width, s.tolist(), col)
+    # q == s is a prime of this form, a candidate like any other
+    own_row, own = np.nonzero((2 * p[:, None] * first + 1 == s) & (first >= lo))
+    keep[own_row, first[own_row, own] - lo] = True
+    # q = 2mp + 1 = +-1 (mod 8) leaves m = 0 and m = -p (mod 4)
+    _strike(keep, width, [4, 4], (np.stack([np.full_like(p, 2), p]).T - lo) % 4)
+    keep[:, width:] = False
+    if m_max[0] - lo + 1 < width:  # m_max ascends: some rows end before width
+        keep[:, :width] &= np.arange(width) <= (m_max - lo)[:, None]
+    row, m = np.divmod(np.flatnonzero(keep), stride)
+    exponent = p.astype(np.uint64)[row]
+    q = m.astype(np.uint64)
+    q += lo
+    q *= exponent
+    q <<= 1
+    q += 1
+    hits = np.flatnonzero(_pow2_mod(exponent, q) == 1)
+    hit_rows, at = np.unique(row[hits], return_index=True)
+    return hit_rows, q[hits[at]]
+
+
+def _strike(keep: np.ndarray, width: int, periods: list[int], col: np.ndarray) -> None:
+    """Clear ``keep[i, col[i, j] + k * periods[j]]`` for every row i, column j, k >= 0.
+
+    All rows' strikes of one period go at once through a ``(rows, n //
+    period, period)`` view of their first ``n`` flags, ``n`` the whole
+    periods that cover ``width`` (the rows are padded for it).  A block of
+    one row takes plain slices instead, five times faster for it.
+    """
+    rows = len(keep)
+    if rows == 1:
+        for period, c in zip(periods, col[0].tolist()):
+            keep[0, c::period] = False
+        return
+    across = np.arange(rows)
+    for j, period in enumerate(periods):
+        n = -(-width // period) * period
+        keep[:, :n].reshape(rows, n // period, period)[across, :, col[:, j]] = False
+
+
+def _inverse_mod(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``a**-1 mod s`` elementwise for ``0 < a < s``, ``s`` odd primes below 2**12.
+
+    Fermat: ``a**(s - 2) mod s`` by right-to-left binary powering; every
+    product is below 2**24.
+    """
+    e = s - 2
+    r = np.ones_like(a)
+    for i in range(int(e.max()).bit_length() if len(e) else 0):
+        r = np.where(e >> i & 1, r * a % s, r)
+        a = a * a % s
+    return r
+
+
+@functools.lru_cache(maxsize=1)
+def _small_odd_primes() -> np.ndarray:
+    """The odd primes below :data:`_TF_SMALL_PRIME_BOUND`, sieved once."""
+    primes = primes_up_to(_TF_SMALL_PRIME_BOUND).primes[1:].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
+
+
+def _pow2_mod(p, q: np.ndarray) -> np.ndarray:
+    """``2**p mod q`` for a ``uint64`` array of ``q < 2**48``.
+
+    ``p`` is one exponent for every lane or a ``uint64`` array of one per
+    lane.  Left-to-right binary powering, preloaded with ``2**e mod q`` for
+    the top five bits ``e`` of the widest exponent, keeps each residue ``r``
+    in ``[0, 2q)``.  A square ``r * r mod q`` takes its quotient from
+    doubles: ``r * r / q`` is below ``4q < 2**50``, where the rounded
+    ``r * r * (1 / q)`` is within 0.38 of it, so truncating it less 0.5 gives
+    the quotient or one less.  ``r * r - k * q``, exact in wrapping
+    ``uint64`` arithmetic, then lies in ``[0, 2q)`` with no division.  A
+    doubling step shifts only the lanes whose exponent has that bit, and is
+    skipped where none has it.
+    """
+    p = np.asarray(p, dtype=np.uint64)
+    inverse = 1.0 / q
+    twice = q << np.uint64(1)
+    some = int(np.bitwise_or.reduce(p, axis=None))  # the bits set in any exponent
+    every = int(np.bitwise_and.reduce(p, axis=None))  # ... and in all of them
+    shift = max(some.bit_length() - 5, 0)
+    r = np.left_shift(np.uint64(1), p >> np.uint64(shift)) % q
+    quotient = np.empty(len(q))
+    k = np.empty(len(q), dtype=np.int64)
+    kq = k.view(np.uint64)
     for i in range(shift - 1, -1, -1):
-        acc = r >> (w * (limbs - 1))
-        acc *= r
-        acc %= q
-        for j in range(limbs - 2, -1, -1):
-            acc <<= w
-            limb = r >> (w * j)
-            limb &= mask
-            limb *= r
-            acc += limb
-            acc %= q
-        r = acc
-        if p >> i & 1:
-            r <<= 1
-            np.subtract(r, q, out=r, where=r >= q)
+        quotient[:] = r
+        quotient *= quotient
+        quotient *= inverse
+        quotient -= 0.5
+        np.copyto(k, quotient, casting="unsafe")  # truncates towards 0
+        kq *= q
+        r *= r
+        r -= kq
+        if some >> i & 1:
+            r <<= 1 if every >> i & 1 else p >> np.uint64(i) & np.uint64(1)
+            np.subtract(r, twice, out=r, where=r >= twice)
+    np.subtract(r, q, out=r, where=r >= q)
     return r
 
 

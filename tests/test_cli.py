@@ -5,14 +5,22 @@ import pytest
 
 import convolution
 import trial_factor
-from prime_oracle import pipeline
+from prime_oracle import cli, pipeline
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import _read_config_file, build_parser, main
-from prime_oracle.numtheory import LUCAS_LEHMER_CEILING
+from prime_oracle.numtheory import (
+    LUCAS_LEHMER_CEILING,
+    lucas_lehmer,
+    mersenne_digit_count,
+    primes_up_to,
+)
 from prime_oracle.pipeline import FILE_HEADER, HuntPlan, hunt_general, load_records
 from prime_oracle.recursive_bayes import Hyperparameters
 from prime_oracle.specialfn import RH_SQRT
 from prime_oracle.tmcmc import TmcmcConfig
+
+#: The exponents of the 14 Mersenne primes with p <= 1500.
+MERSENNE_EXPONENTS_TO_1500 = (3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279)
 
 
 def read_csv(path):
@@ -98,7 +106,7 @@ class TestHuntCommands:
             return capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()
 
         sweep = run(tmp_path / "sweep.jsonl")
-        monkeypatch.setattr(pipeline, "mersenne_small_factor", trial_factor.mersenne_small_factor)
+        monkeypatch.setattr(pipeline, "trial_factor_batch", trial_factor.trial_factor_batch)
         scalar = run(tmp_path / "scalar.jsonl")
         assert sweep == scalar
         assert load_records(tmp_path / "sweep.jsonl")
@@ -278,6 +286,37 @@ class TestVerifyAndLl:
         out = capsys.readouterr().out
         assert "2^31-1 is prime" in out
         assert "[3, 5, 7, 13, 17, 19, 31, 61]" in out
+
+    @pytest.mark.parametrize("top", [3, 7, 13, 61, 127, 1500])
+    def test_ll_check_prints_the_lucas_lehmer_sweep(self, top, capsys):
+        # at these tops a factor 2mp + 1 could equal 2**p - 1 itself
+        found = [p for p in primes_up_to(top).primes[1:].tolist() if lucas_lehmer(p)]
+        expected = "".join(f"2^{p}-1 is prime ({mersenne_digit_count(p)} digits)\n" for p in found)
+        expected += f"{len(found)} Mersenne exponents up to {top}: {found}\n"
+        assert main(["ll-check", "--max-exponent", str(top)]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_ll_check_screen_spares_lucas_lehmer(self, capsys, monkeypatch):
+        screened, tested = {}, []
+        screen = pipeline.trial_factor_batch
+
+        def batch(ps, bits):
+            factors = screen(ps, bits)
+            screened.update(zip(ps, factors))
+            return factors
+
+        def counted(p):
+            tested.append(p)
+            return lucas_lehmer(p)
+
+        monkeypatch.setattr(cli.pipeline, "trial_factor_batch", batch)
+        monkeypatch.setattr(cli, "lucas_lehmer", counted)
+        assert main(["ll-check", "--max-exponent", "1500"]) == 0
+        capsys.readouterr()
+        assert sorted(screened) == primes_up_to(1500).primes[1:].tolist()
+        assert tested == [p for p, factor in screened.items() if factor is None]
+        assert len(tested) < len(screened)
+        assert set(MERSENNE_EXPONENTS_TO_1500) <= set(tested)
 
     def test_ll_check_cap(self, capsys):
         assert main(["ll-check", "--max-exponent", "200000"]) == 2

@@ -27,6 +27,7 @@ from prime_oracle.pipeline import (
     load_records,
     mersenne_small_factor,
     solve_k,
+    trial_factor_batch,
     verify_file,
     write_records,
 )
@@ -35,6 +36,7 @@ from prime_oracle.tmcmc import HuntTarget, TargetKind, TmcmcChain, TmcmcConfig, 
 from collect import collect_candidates as oracle_collect
 from test_numtheory import trial_division_is_prime
 from trial_factor import mersenne_small_factor as scalar_small_factor
+from trial_factor import trial_factor_batch as scalar_batch
 
 P0 = 999_983  # largest prime below 1e6
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -201,6 +203,15 @@ def _ended(pid):
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
+def _children(pid):
+    """The pids of ``pid``'s child processes, from every thread's ``children`` list."""
+    tasks = pathlib.Path(f"/proc/{pid}/task")
+    try:
+        return [int(c) for task in tasks.iterdir() for c in (task / "children").read_text().split()]
+    except FileNotFoundError:  # the process or one of its threads has just exited
+        return []
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="chains run in workers on Linux only")
 class TestHuntChainsInWorkers:
     """A round's second chain runs in a forked worker when two CPUs are usable."""
@@ -277,6 +288,32 @@ class TestHuntChainsInWorkers:
         if not ended:
             os.kill(worker, signal.SIGKILL)
         assert ended, f"worker {worker} outlived its caller"
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+    def test_interrupted_caller_kills_its_worker(self):
+        # SIGINT to the caller alone, as ``kill -INT`` sends it (a terminal's
+        # Ctrl-C reaches the whole process group): the caller must not wait
+        # for the worker's chain to finish
+        argv = [sys.executable, "-m", "prime_oracle", "hunt", "--p0", "999983",
+                "--iters", "3000000"]
+        with subprocess.Popen(argv, env=_env_with_src(), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True) as hunt:
+            deadline = time.monotonic() + 20
+            while not (workers := _children(hunt.pid)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            hunt.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            try:
+                hunt.wait(timeout=5)
+            finally:
+                hunt.kill()
+            elapsed = time.monotonic() - sent
+            stderr = hunt.stderr.read()
+        assert workers, "the hunt started no worker"
+        assert hunt.returncode == -signal.SIGINT, stderr
+        assert stderr.rstrip().endswith("KeyboardInterrupt"), stderr
+        assert elapsed < 1.0, f"the interrupted hunt took {elapsed:.2f} s to exit"
+        assert all(_ended(pid) for pid in workers)
 
     def test_mersenne_runs_in_the_caller(self, monkeypatch):
         self._cpus(monkeypatch, 2)
@@ -355,14 +392,7 @@ class TestMersenneSmallFactor:
             assert mersenne_small_factor(p, bits) == scalar_small_factor(p, bits), p
 
     def test_matches_scalar_oracle_at_30_bits(self):
-        # the scalar loop's answers, written by ``python tests/trial_factor.py``
-        # (it takes about a minute live)
-        expected = {}
-        for line in (DATA_DIR / "mersenne_factors_30bit.txt").read_text().splitlines():
-            if not line.startswith("#"):
-                p, q = line.split()
-                expected[int(p)] = None if q == "None" else int(q)
-        assert sorted(expected) == ODD_PRIMES_TO_3000
+        expected = _factors_30bit()
         assert {p: mersenne_small_factor(p, 30) for p in expected} == expected
 
     def test_matches_scalar_oracle_near_1e6(self):
@@ -404,7 +434,16 @@ class TestMersenneSmallFactor:
         ]
         q = np.array(qs, dtype=np.uint64)
         for p in (2, 3, 31, 32, 1_000_039, 140_000_053, (1 << 47) - 115):
-            assert pipeline._pow2_mod(p, q, bits).tolist() == [pow(2, p, int(x)) for x in qs]
+            assert pipeline._pow2_mod(p, q).tolist() == [pow(2, p, int(x)) for x in qs]
+
+    def test_pow2_mod_one_exponent_per_lane(self):
+        # the lanes' exponents differ in their low bits and in their lengths
+        rng = random.Random(5)
+        qs = [rng.randrange(3, 1 << 48) | 1 for _ in range(300)]
+        qs += [(1 << 48) - 1 - 2 * i for i in range(20)] + [3, 5, 7]
+        ps = [rng.choice([2, 3, 31, 1_000_039, 140_000_053, (1 << 47) - 115]) for _ in qs]
+        got = pipeline._pow2_mod(np.array(ps, dtype=np.uint64), np.array(qs, dtype=np.uint64))
+        assert got.tolist() == [pow(2, p, q) for p, q in zip(ps, qs)]
 
     def test_44_bits_under_five_seconds(self):
         import time
@@ -413,6 +452,102 @@ class TestMersenneSmallFactor:
         mersenne_small_factor(1_000_039, 44)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"one 44-bit exponent took {elapsed:.1f}s"
+
+
+def _factors_30bit():
+    """The scalar loop's answers, written by ``python tests/trial_factor.py``
+    (it takes about a minute live)."""
+    expected = {}
+    for line in (DATA_DIR / "mersenne_factors_30bit.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            p, q = line.split()
+            expected[int(p)] = None if q == "None" else int(q)
+    assert sorted(expected) == ODD_PRIMES_TO_3000
+    return expected
+
+
+class TestTrialFactorBatch:
+    def test_matches_30bit_file_in_one_call(self):
+        expected = _factors_30bit()
+        got = trial_factor_batch(list(expected), 30)
+        assert got == list(expected.values())
+        for p, q in zip(expected, got):
+            if q is not None:
+                assert q % (2 * p) == 1 and q % 8 in (1, 7) and pow(2, p, q) == 1
+                assert q < (1 << p) - 1, p
+
+    def test_matches_scalar_oracle_at_mixed_bits(self):
+        # deep exponents, one factored and one not at each of 38, 44 and 48
+        # bits, among small ones at shallow levels (the isqrt cap where
+        # p <= 2 * bits) and among the sqrt-capped ones at every level
+        deep = [(1_000_033, 38), (1_000_039, 38), (100_000_037, 44), (100_000_039, 44),
+                (1_000_000_009, 48), (1_000_000_033, 48), ((1 << 46) + 15, 48)]
+        rng = random.Random(11)
+        small = [(p, rng.randrange(2, 25)) for p in ODD_PRIMES_TO_3000[:120]]
+        small += [(p, rng.randrange(max(p // 2, 2), 49)) for p in ODD_PRIMES_TO_3000 if p <= 60]
+        rng.shuffle(small)
+        pairs = small[:75] + deep + small[75:]
+        ps, bits = [p for p, _ in pairs], [b for _, b in pairs]
+        got = trial_factor_batch(ps, bits)
+        assert got == scalar_batch(ps, bits)
+        assert [got[ps.index(p)] is None for p, _ in deep] == [
+            False, True, False, True, True, False, True]
+
+    def test_never_the_mersenne_number_itself(self):
+        # 2**p - 1 is prime and of the form 2mp + 1 for these p
+        for bits in range(2, 49):
+            assert trial_factor_batch([3, 5, 7, 13, 17, 19, 31], bits) == [None] * 7
+
+    def test_order_duplicates_and_empty(self):
+        assert trial_factor_batch([], 20) == []
+        assert trial_factor_batch([23, 11, 13, 11], 12) == [47, 23, None, 23]
+        assert trial_factor_batch([23, 11], [5, 12]) == [None, 23]
+
+    def test_refusals_match_the_one_exponent_view(self):
+        for bits in (1, 49):
+            with pytest.raises(DomainError, match=r"\[2, 48\]"):
+                trial_factor_batch([11], bits)
+            with pytest.raises(DomainError, match=r"\[2, 48\]"):
+                trial_factor_batch([11, 13], [20, bits])
+        with pytest.raises(DomainError, match=r"\[2, 48\]"):
+            trial_factor_batch([], 1)
+        with pytest.raises(DomainError, match="prime exponent, got 15"):
+            trial_factor_batch([11, 15], 20)
+        with pytest.raises(DomainError, match="past the proven"):
+            trial_factor_batch([numtheory.MILLER_RABIN_LIMIT], 20)
+        with pytest.raises(DomainError, match="2 trial-factor bit levels for 3 exponents"):
+            trial_factor_batch([3, 5, 7], [20, 20])
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_rows_packed_across_blocks(self, block, monkeypatch):
+        # several exponents' rows share each block, and the deeper ones
+        # carry on level by level
+        monkeypatch.setattr(pipeline, "_TF_BLOCK", block)
+        ps = ODD_PRIMES_TO_3000[::3] + [1_000_033, 1_000_037]
+        bits = [12 + p % 9 for p in ps]
+        assert trial_factor_batch(ps, bits) == scalar_batch(ps, bits)
+
+    def test_strikes_spare_every_prime_candidate(self, monkeypatch):
+        # every prime q = 2mp + 1 = +-1 (mod 8) under the bound reaches the
+        # powering, also where q or the exponent is itself a striking prime
+        tested = set()
+        pow2_mod = pipeline._pow2_mod
+
+        def recorded(p, q):
+            tested.update(zip(np.broadcast_to(p, q.shape).tolist(), q.tolist()))
+            return pow2_mod(p, q)
+
+        monkeypatch.setattr(pipeline, "_pow2_mod", recorded)
+        ps = [41, 43, 47, 53, 59, 67, 71, 73, 79]  # one level, rows sharing a block
+        assert trial_factor_batch(ps, 20) == scalar_batch(ps, 20)
+        primes = set(primes_up_to(1 << 20).primes.tolist())
+        assert {(p, q) for p in ps for q in range(2 * p + 1, 1 << 20, 2 * p)
+                if q in primes and q % 8 in (1, 7)} <= tested
+
+    def test_divisor_equal_to_a_striking_prime_in_a_shared_block(self):
+        # q == s for 11, 23 and 83, with rows wide enough for 47 and 167 to strike
+        ps = [11, 23, 83, 1019, 1_000_033]
+        assert trial_factor_batch(ps, 22) == [23, 47, 167, 2039, None]
 
 
 class TestResume:

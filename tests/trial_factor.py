@@ -1,10 +1,13 @@
 """Mersenne trial factoring one divisor at a time (test oracle).
 
-The scalar loop that :func:`prime_oracle.pipeline.mersenne_small_factor`
-replaced with a sieved, vectorised sweep: it walks every ``q = 2mp + 1``
-below the bound in order, keeps those congruent to +-1 mod 8, and tests
-each with Python's own ``pow(2, p, q)``.  It strikes nothing, so it is an
-independent route to the same smallest divisor.
+The code under test is :func:`prime_oracle.pipeline.trial_factor_batch`,
+one sieved, vectorised sweep over many exponents at once, and its
+one-exponent view :func:`prime_oracle.pipeline.mersenne_small_factor`.
+This is the scalar loop they replaced: for one exponent at a time it walks
+every ``q = 2mp + 1`` below the bound in order, keeps those congruent to
++-1 mod 8, and tests each with Python's own ``pow(2, p, q)``.  It strikes
+nothing and shares no lanes, so it is an independent route to the same
+smallest divisors.
 """
 
 import math
@@ -25,6 +28,12 @@ def mersenne_small_factor(p: int, bits: int) -> int | None:
             return q
         q += 2 * p
     return None
+
+
+def trial_factor_batch(ps, bits) -> list[int | None]:
+    """:func:`mersenne_small_factor` of each exponent; ``bits`` is one int or one per exponent."""
+    levels = [bits] * len(ps) if isinstance(bits, int) else bits
+    return [mersenne_small_factor(p, b) for p, b in zip(ps, levels, strict=True)]
 
 
 if __name__ == "__main__":
