@@ -356,9 +356,8 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
     Each chain runs ``burn_in + iterations`` steps with seed ``config.seed +
     len(kinds) * round + offset``; the primes it first visits after the
     burn-in, less those already in ``plan.out_path`` (and, for Mersenne
-    targets, those one :func:`trial_factor_batch` call per round factors
-    out), become records.  Each later round re-seats p0 on the largest prime
-    found and re-calibrates k.
+    targets, those trial factoring removes), become records.  Each later
+    round re-seats p0 on the largest prime found and re-calibrates k.
 
     The chains of a round share nothing until their candidates merge, so
     with two or more usable cores the first runs in this process while the
@@ -395,14 +394,10 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
                 stats.skipped_oversize += oversize
                 stats.distinct_candidates += len(visited)
                 prime_set = stats.primes_by_target.setdefault(kind.value, set())
-                primes = [(v, it) for v, it in sorted(visited.items()) if is_prime_u64(v)]
-                factors = (
-                    trial_factor_batch([v for v, _ in primes], bits)
-                    if bits is not None
-                    else [None] * len(primes)
-                )
-                for (value, it), factor in zip(primes, factors):
-                    if factor is not None:
+                for value, it in sorted(visited.items()):
+                    if not is_prime_u64(value):
+                        continue
+                    if bits is not None and mersenne_small_factor(value, bits) is not None:
                         stats.factored_out += 1
                         continue
                     prime_set.add(value)
@@ -449,7 +444,9 @@ def _chain_pool(chains: int):
         try:
             yield pool
         except BaseException:
-            for worker in list(pool._processes.values()):
+            # No public call stops a running task before Python 3.14's
+            # terminate_workers, so the workers are read from the pool.
+            for worker in list((getattr(pool, "_processes", None) or {}).values()):
                 worker.kill()
                 worker.join()
             raise

@@ -106,7 +106,7 @@ class TestHuntCommands:
             return capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()
 
         sweep = run(tmp_path / "sweep.jsonl")
-        monkeypatch.setattr(pipeline, "trial_factor_batch", trial_factor.trial_factor_batch)
+        monkeypatch.setattr(pipeline, "mersenne_small_factor", trial_factor.mersenne_small_factor)
         scalar = run(tmp_path / "scalar.jsonl")
         assert sweep == scalar
         assert load_records(tmp_path / "sweep.jsonl")
@@ -313,10 +313,31 @@ class TestVerifyAndLl:
         monkeypatch.setattr(cli, "lucas_lehmer", counted)
         assert main(["ll-check", "--max-exponent", "1500"]) == 0
         capsys.readouterr()
-        assert sorted(screened) == primes_up_to(1500).primes[1:].tolist()
-        assert tested == [p for p, factor in screened.items() if factor is None]
+        exponents = primes_up_to(1500).primes[1:].tolist()
+        assert sorted(screened) == [p for p in exponents if p >= 64]
+        assert tested == [p for p in exponents if screened.get(p) is None]
         assert len(tested) < len(screened)
         assert set(MERSENNE_EXPONENTS_TO_1500) <= set(tested)
+
+    def test_ll_check_screens_from_64(self, capsys, monkeypatch):
+        # below 64 Lucas-Lehmer is cheaper than the screen's fixed cost, so
+        # 11 (factor 23) is tested; from 64 on, 73 (factor 439) is not
+        screened, tested = [], []
+        screen = pipeline.trial_factor_batch
+
+        def batch(ps, bits):
+            screened.extend(ps)
+            return screen(ps, bits)
+
+        monkeypatch.setattr(cli.pipeline, "trial_factor_batch", batch)
+        monkeypatch.setattr(cli, "lucas_lehmer", lambda p: tested.append(p) or lucas_lehmer(p))
+        assert main(["ll-check", "--max-exponent", "20"]) == 0
+        assert (screened, tested) == ([], [3, 5, 7, 11, 13, 17, 19])
+        tested.clear()
+        assert main(["ll-check", "--max-exponent", "73"]) == 0
+        capsys.readouterr()
+        assert screened == [67, 71, 73]
+        assert tested == primes_up_to(72).primes[1:].tolist()
 
     def test_ll_check_cap(self, capsys):
         assert main(["ll-check", "--max-exponent", "200000"]) == 2
