@@ -289,7 +289,7 @@ class TestVerifyAndLl:
 
     @pytest.mark.parametrize("top", [3, 7, 13, 61, 127, 1500])
     def test_ll_check_prints_the_lucas_lehmer_sweep(self, top, capsys):
-        # at these tops a factor 2mp + 1 could equal 2**p - 1 itself
+        # up to 61 Lucas-Lehmer runs alone; 127 and 1500 pass through the screen
         found = [p for p in primes_up_to(top).primes[1:].tolist() if lucas_lehmer(p)]
         expected = "".join(f"2^{p}-1 is prime ({mersenne_digit_count(p)} digits)\n" for p in found)
         expected += f"{len(found)} Mersenne exponents up to {top}: {found}\n"
