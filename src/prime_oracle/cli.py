@@ -256,14 +256,16 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Print one line per line read and a summary, in one write."""
     report = pipeline.verify_file(args.file)
-    for entry in report.entries:
-        if entry.error is not None:
-            print(f"line {entry.line_no}: PARSE ERROR {entry.text!r}")
-        else:
-            verdict = "prime" if entry.verdict else "COMPOSITE"
-            print(f"line {entry.line_no}: {entry.value} {verdict}")
-    print(report.summary())
+    out = [
+        f"line {no}: PARSE ERROR {text!r}" if error is not None
+        else f"line {no}: {value} {'prime' if verdict else 'COMPOSITE'}"
+        for no, text, value, verdict, error in zip(
+            report.line_nos, report.texts, report.values, report.verdicts, report.errors)
+    ]
+    out.append(report.summary())
+    sys.stdout.write("\n".join(out) + "\n")
     return 0
 
 

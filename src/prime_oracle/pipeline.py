@@ -736,26 +736,42 @@ class VerifyEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class VerifyReport:
-    entries: list[VerifyEntry]
+    """What :func:`verify_file` found, as parallel columns with one item per line read.
 
-    @property
+    ``values[i]`` and ``verdicts[i]`` are None where ``errors[i]`` is set.
+    The counts are taken once, and :attr:`entries`, the same lines as
+    :class:`VerifyEntry` rows, is built only when first read.
+    """
+
+    line_nos: list[int]
+    texts: list[str]
+    values: list[int | None]
+    verdicts: list[bool | None]
+    errors: list[str | None]
+
+    @functools.cached_property
+    def entries(self) -> list[VerifyEntry]:
+        return list(map(VerifyEntry, self.line_nos, self.texts, self.values, self.verdicts,
+                        self.errors))
+
+    @functools.cached_property
     def n_prime(self) -> int:
-        return sum(1 for e in self.entries if e.verdict is True)
+        return self.verdicts.count(True)
 
-    @property
+    @functools.cached_property
     def n_composite(self) -> int:
-        return sum(1 for e in self.entries if e.verdict is False)
+        return self.verdicts.count(False)
 
-    @property
+    @functools.cached_property
     def n_errors(self) -> int:
-        return sum(1 for e in self.entries if e.error is not None)
+        return len(self.errors) - self.errors.count(None)
 
     def composites(self) -> list[int]:
-        return [e.value for e in self.entries if e.verdict is False]
+        return [value for value, verdict in zip(self.values, self.verdicts) if verdict is False]
 
     def summary(self) -> str:
         return (
-            f"{len(self.entries)} entries: {self.n_prime} prime, "
+            f"{len(self.line_nos)} entries: {self.n_prime} prime, "
             f"{self.n_composite} composite, {self.n_errors} unparseable"
         )
 
@@ -763,34 +779,47 @@ class VerifyReport:
 def verify_file(path) -> VerifyReport:
     """Per-line primality verdicts for a file of integers, one per line.
 
-    Blank lines and ``#`` comments are skipped; a line that is not an ASCII
-    decimal integer (optional sign, digits 0-9) is reported as unparseable
-    and processing continues.  Every line is parsed first, then all values
-    get their verdicts from one :func:`.numtheory.is_prime_batch` call (the
-    array path; single values elsewhere take :func:`.numtheory.is_prime_u64`).
-    A value past the proven primality range raises :class:`DomainError`
-    naming ``path:line`` of the first such line, before any verdict.
+    The file is read in one piece and split at ``\\n`` alone, which universal
+    newlines have made of ``\\r\\n`` and a lone ``\\r``: a form feed or another
+    separator that ``str.splitlines`` breaks at stays inside its line.  Blank
+    lines and ``#`` comments are skipped; a line that is not an ASCII decimal
+    integer (optional sign, digits 0-9) is reported as unparseable and
+    processing continues.  Plain ASCII digits skip the pattern match.  The
+    lines, values and errors are kept as columns of the report, and all
+    values get their verdicts from one :func:`.numtheory.is_prime_batch` call
+    (the array path; single values elsewhere take
+    :func:`.numtheory.is_prime_u64`).  A value past the proven primality
+    range raises :class:`DomainError` naming ``path:line`` of the first such
+    line, before any verdict.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
+        lines = fh.read().split("\n")
+    line_nos, texts, values, errors = [], [], [], []
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text[0] == "#":
+            continue
+        line_nos.append(line_no)
+        texts.append(text)
+        if text.isascii() and text.isdigit() or _DECIMAL.fullmatch(text):
             try:
-                if _DECIMAL.fullmatch(text) is None:
-                    raise ValueError(f"not an ASCII decimal integer: {text!r}")
-                rows.append((line_no, text, int(text), None))
-            except ValueError as exc:  # also int()'s limit on digit count
-                rows.append((line_no, text, None, str(exc)))
+                values.append(int(text))
+                errors.append(None)
+                continue
+            except ValueError as exc:  # int()'s limit on digit count
+                error = str(exc)
+        else:
+            error = f"not an ASCII decimal integer: {text!r}"
+        values.append(None)
+        errors.append(error)
+    numbers = [value for value in values if value is not None] if any(errors) else values
     try:
-        verdicts = iter(is_prime_batch([value for _, _, value, error in rows if error is None]))
+        verdicts = is_prime_batch(numbers)
     except DomainError as exc:
-        line_no = next(
-            no for no, _, value, error in rows if error is None and value >= MILLER_RABIN_LIMIT
-        )
+        line_no = next(no for no, value in zip(line_nos, values)
+                       if value is not None and value >= MILLER_RABIN_LIMIT)
         raise DomainError(f"{path}:{line_no}: {exc}") from None
-    return VerifyReport([
-        VerifyEntry(no, text, value, next(verdicts) if error is None else None, error)
-        for no, text, value, error in rows
-    ])
+    if numbers is not values:
+        found = iter(verdicts)
+        verdicts = [None if value is None else next(found) for value in values]
+    return VerifyReport(line_nos, texts, values, verdicts, errors)

@@ -228,6 +228,9 @@ def _predictive_gaps(state: RecursionState, t: float) -> tuple[float, float, flo
         raise DomainError("error density not positive at the predictive point")
     log_ratio = math.log1p((t - t0) / t0)
     panels = math.ceil(log_ratio / PANEL_WIDTH)
+    if panels == 1:  # on floats: one-element arrays cost six times as much
+        gap_a, gap_b = increments(state.model, t0, t)
+        return li(t), f_t, float(gap_a), float(gap_b)
     edges = t0 * np.exp(np.arange(panels + 1) * (log_ratio / panels))
     edges[0], edges[-1] = t0, t
     gap_a, gap_b = increments(state.model, edges[:-1], edges[1:])

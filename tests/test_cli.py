@@ -1,5 +1,6 @@
 import gc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +278,18 @@ class TestVerifyAndLl:
         captured = capsys.readouterr()
         assert f"{path}:3:" in captured.err
         assert captured.out == ""
+
+    def test_verify_golden_edge_cases(self, capsys):
+        # stdout recorded from the line-by-line reader this one replaced
+        data = Path(__file__).parent / "data"
+        raw = (data / "verify_edge_cases.txt").read_bytes()
+        for form in (b"\r\n", b"\r1", b"\x0b", b"\x0c", b"\n\n", b"\n#", b"\n+7", b"\n007"):
+            assert form in raw, form  # a checkout that rewrote line endings defeats the test
+        assert not raw.endswith(b"\n")
+        assert main(["verify", str(data / "verify_edge_cases.txt")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == (data / "verify_edge_cases.out").read_bytes()
+        assert captured.err == ""
 
     def test_verify_missing_file_is_io_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.txt")]) == 3

@@ -298,6 +298,20 @@ class TestIsPrimeBatch:
 
     def test_empty_input(self):
         assert is_prime_batch([]) == []
+        assert is_prime_batch(np.array([], dtype=np.uint64)) == []
+
+    def test_uint64_array_matches_list(self):
+        # windows of a sieve or a hunt arrive as arrays; near 2**64 a float
+        # round trip would change the values
+        values = [*range(2048), *range((1 << 64) - 2048, 1 << 64), 3825123056546413051]
+        expected = is_prime_batch(values)
+        got = is_prime_batch(np.array(values, dtype=np.uint64))
+        assert got == expected and all(type(v) is bool for v in got)
+        assert expected == [is_prime_u64(n) for n in values]
+
+    def test_other_integer_arrays_take_the_list_path(self):
+        values = np.array([-7, 0, 2, 9, 97, 1 << 62], dtype=np.int64)
+        assert is_prime_batch(values) == [False, False, True, False, True, False]
 
     def test_mixed_ranges_keep_input_order(self):
         past_u64 = [(1 << 64) + 13, (1 << 64) + 15, 10**23 + 117, 10**23 + 119]

@@ -50,3 +50,14 @@ def test_chain_stats_reads_the_move_counters():
     assert tuple(counted) == tmcmc.MOVE_COUNTERS
     assert counted == {name: getattr(result.chain, name) for name in tmcmc.MOVE_COUNTERS}
     assert counted["proposals_add"] + counted["proposals_mult"] == 2000
+
+
+def test_verify_counter_reads_the_report(tmp_path):
+    # the traced bench run counts ``len(report.entries)`` after every verify_file
+    pipeline = importlib.import_module(f"{spans.PACKAGE}.pipeline")
+    path = tmp_path / "ints.txt"
+    path.write_text("# header\n7\n\n9\nzzz\n-3\n")
+    report = pipeline.verify_file(path)
+    tracer = spans.Tracer()
+    spans.AFTER["pipeline.verify_file"](tracer, (path,), {}, report)
+    assert tracer.counters == {"pipeline.verify_file.entries": 4}
