@@ -52,21 +52,20 @@ _LL_SCREEN_FROM = 64
 
 def _read_config_file(path: str) -> dict:
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise DomainError(f"{path}:{line_no}: unknown config line {line!r}")
-            try:
-                overrides[key] = int(value) if key == "seed" else float(value)
-            except ValueError:
-                raise DomainError(
-                    f"{path}:{line_no}: bad value for {key}: {value.strip()!r}"
-                ) from None
+    for line_no, raw in enumerate(pipeline.read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_KEYS:
+            raise DomainError(f"{path}:{line_no}: unknown config line {line!r}")
+        try:
+            overrides[key] = int(value) if key == "seed" else float(value)
+        except ValueError:
+            raise DomainError(
+                f"{path}:{line_no}: bad value for {key}: {value.strip()!r}"
+            ) from None
     return overrides
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "verify_file",
     "write_records",
     "load_records",
+    "read_text",
     "collect_candidates",
     "mersenne_small_factor",
     "trial_factor_batch",
@@ -690,6 +691,24 @@ def _pow2_mod(p, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, with ``\r\n`` and a lone ``\r`` made ``\n``.
+
+    These are the universal newlines of a file opened in text mode.  Bytes
+    that are not UTF-8 raise :class:`DomainError` naming ``path`` and the
+    offset of the first bad byte, instead of a :class:`UnicodeDecodeError`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def write_records(path, records: Iterable[CandidateRecord]) -> None:
     """Append records to a JSON-lines file, creating it with the version header."""
     path = Path(path)
@@ -710,14 +729,13 @@ def load_records(path) -> list[CandidateRecord]:
     ``path:line``.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                try:
-                    records.append(CandidateRecord.from_json(line))
-                except DomainError as exc:
-                    raise DomainError(f"{path}:{line_no}: {exc}") from None
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            try:
+                records.append(CandidateRecord.from_json(line))
+            except DomainError as exc:
+                raise DomainError(f"{path}:{line_no}: {exc}") from None
     return records
 
 
@@ -779,21 +797,21 @@ class VerifyReport:
 def verify_file(path) -> VerifyReport:
     """Per-line primality verdicts for a file of integers, one per line.
 
-    The file is read in one piece and split at ``\\n`` alone, which universal
-    newlines have made of ``\\r\\n`` and a lone ``\\r``: a form feed or another
-    separator that ``str.splitlines`` breaks at stays inside its line.  Blank
-    lines and ``#`` comments are skipped; a line that is not an ASCII decimal
-    integer (optional sign, digits 0-9) is reported as unparseable and
-    processing continues.  Plain ASCII digits skip the pattern match.  The
-    lines, values and errors are kept as columns of the report, and all
-    values get their verdicts from one :func:`.numtheory.is_prime_batch` call
-    (the array path; single values elsewhere take
-    :func:`.numtheory.is_prime_u64`).  A value past the proven primality
-    range raises :class:`DomainError` naming ``path:line`` of the first such
-    line, before any verdict.
+    The file is read in one piece by :func:`read_text` and split at ``\\n``
+    alone, which its universal newlines have made of ``\\r\\n`` and a lone
+    ``\\r``: a form feed or another separator that ``str.splitlines`` breaks
+    at stays inside its line.  Bytes that are not UTF-8 raise
+    :class:`DomainError` before any verdict.  Blank lines and ``#`` comments
+    are skipped; a line that is not an ASCII decimal integer (optional sign,
+    digits 0-9) is reported as unparseable and processing continues.  Plain
+    ASCII digits skip the pattern match.  The lines, values and errors are
+    kept as columns of the report, and all values get their verdicts from one
+    :func:`.numtheory.is_prime_batch` call (the array path; single values
+    elsewhere take :func:`.numtheory.is_prime_u64`).  A value past the proven
+    primality range raises :class:`DomainError` naming ``path:line`` of the
+    first such line, before any verdict.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     line_nos, texts, values, errors = [], [], [], []
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()

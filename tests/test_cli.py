@@ -79,6 +79,14 @@ class TestHuntCommands:
         assert main(["mersenne", "--from-results", str(general), "--keep", "10"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {general}:2: ")
 
+    def test_mersenne_from_non_utf8_results(self, tmp_path, capsys):
+        general = tmp_path / "records.jsonl"
+        general.write_bytes(FILE_HEADER.encode() + b"\n\xff\xfe\n")
+        assert main(["mersenne", "--from-results", str(general), "--keep", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {general}: not UTF-8 text (")
+        assert captured.out == ""
+
     def test_mersenne_requires_start(self):
         assert main(["mersenne", "--keep", "10", "--burnin", "0"]) == 2
 
@@ -291,6 +299,16 @@ class TestVerifyAndLl:
         assert captured.out.encode() == (data / "verify_edge_cases.out").read_bytes()
         assert captured.err == ""
 
+    def test_verify_non_utf8_is_domain_error(self, tmp_path, capsys):
+        # the bad bytes are a usage error naming the file, and no verdict is
+        # printed for the lines before them
+        path = tmp_path / "ints.txt"
+        path.write_bytes(b"7\n\xff\xfe13\n")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte at byte 2)\n"
+        assert captured.out == ""
+
     def test_verify_missing_file_is_io_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.txt")]) == 3
 
@@ -402,6 +420,14 @@ class TestConfigFile:
         cfg.write_text("# kernel\nseed=abc\n")
         assert main(["hunt", "--p0", "999983", "--iters", "100", "--config", str(cfg)]) == 2
         assert f"{cfg}:2" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "kernel.cfg"
+        cfg.write_bytes(b"# kernel\nseed=4\xe9\n")
+        assert main(["hunt", "--p0", "999983", "--iters", "100", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}: not UTF-8 text (")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import nhpp_reference
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -338,6 +340,68 @@ class TestSimulate:
         probs = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
         _, p_value = chisquare(observed, probs * n_rep)
         assert p_value > 0.01
+
+
+class TestBlockedInversion:
+    """``simulate`` inverts blocks of :data:`nhpp._EVENT_BLOCK` events; the
+    one-array inversion it replaced (``tests/nhpp_reference.py``) must give
+    the same times to the bit."""
+
+    MODELS = [RH_SQRT, rh_eps(0.1), X_OVER_LOG, MT]
+
+    def assert_same_draw(self, model, params, horizon, seed):
+        expected = nhpp_reference.simulate_times(model, params, horizon, seed)
+        got = simulate(model, params, horizon, seed).times
+        assert got.tobytes() == expected.tobytes(), (model.label, params, horizon, seed)
+        return len(got)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label)
+    @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("horizon", [10.0, 1e3, 1e6], ids=["10", "1e3", "1e6"])
+    def test_matches_one_array_inversion(self, model, beta, horizon):
+        for seed in range(3):
+            self.assert_same_draw(model, IntensityParams(1.0, beta), horizon, seed)
+
+    def test_matches_without_hermite_slopes(self):
+        # under X_OVER_LOG at beta 2.259 the hazard at 2 is negative, so the
+        # first cells start linearly
+        for horizon in (10.0, 1e4):
+            for seed in range(3):
+                assert self.assert_same_draw(X_OVER_LOG, IntensityParams(1.0, 2.259), horizon, seed)
+
+    def test_matches_on_wide_cells(self):
+        for seed in range(3):
+            assert self.assert_same_draw(RH_SQRT, IntensityParams(1e-295, 0.0), 1e300, seed) > 100
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_edges_everywhere(self, block, monkeypatch):
+        # blocks of 1 and 7 events put a block edge between every pair of
+        # events, or at every residue mod 7, so no edge is special
+        monkeypatch.setattr(nhpp, "_EVENT_BLOCK", block)
+        drawn = 0
+        for model in self.MODELS:
+            for beta in (0.0, 0.01, 1.0):
+                for horizon in (10.0, 1e3):
+                    for seed in range(3):
+                        drawn += self.assert_same_draw(
+                            model, IntensityParams(1.0, beta), horizon, seed
+                        )
+        assert drawn > 100 * block
+
+    def test_memory_per_event(self):
+        # the whole-draw arrays are the targets, their cells and the output
+        # (24 B/event) besides the exponentials' draw; one block's Newton
+        # temporaries are a fixed cost.  The one-array inversion peaked at
+        # 104-120 B/event here, the blocked one at 33
+        params = IntensityParams(1.0, 1.0)
+        tracemalloc.start()
+        try:
+            events = len(simulate(RH_SQRT, params, 1e7, seed=1).times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert events == 717_731
+        assert peak <= 48 * events, peak / events
 
 
 class TestThinningOracle:
