@@ -692,21 +692,17 @@ def _pow2_mod(p, q: np.ndarray) -> np.ndarray:
 
 
 def read_text(path) -> str:
-    """The whole of a UTF-8 text file, with ``\r\n`` and a lone ``\r`` made ``\n``.
+    """The whole of a UTF-8 text file, read with universal newlines.
 
-    These are the universal newlines of a file opened in text mode.  Bytes
-    that are not UTF-8 raise :class:`DomainError` naming ``path`` and the
-    offset of the first bad byte, instead of a :class:`UnicodeDecodeError`.
+    Bytes that are not UTF-8 raise :class:`DomainError` naming ``path`` and
+    the offset of the first bad byte, instead of a :class:`UnicodeDecodeError`.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        text = data.decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
-        raise DomainError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        # read() decodes the whole file at once, so the offset is the file's
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def write_records(path, records: Iterable[CandidateRecord]) -> None:
