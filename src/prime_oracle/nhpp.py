@@ -39,10 +39,10 @@ __all__ = [
 
 #: Largest expected event count ``Lambda((2, horizon])`` that :func:`simulate`
 #: will draw.  One draw at 1e7 (rh-sqrt, alpha = beta = 1, seed 1: 717,731
-#: events) raises ``ru_maxrss`` by 33 bytes per event over the import with
-#: scipy loaded (its tracemalloc peak is 33 bytes per event), and its total
-#: ``ru_maxrss`` is 117 bytes per event; so 2**23 events take about 0.28 GB
-#: over the import, or 0.98 GB at the total's rate.  At alpha = 1,
+#: events) raises ``ru_maxrss`` by 26 bytes per event over the import with
+#: scipy loaded (its tracemalloc peak is 27 bytes per event), and its total
+#: ``ru_maxrss`` is 110 bytes per event; so 2**23 events take about 0.21 GB
+#: over the import, or 0.92 GB at the total's rate.  At alpha = 1,
 #: beta = 0 the ceiling is horizon 1.49e8.  The bracket grid needs no ceiling:
 #: its cells are :data:`.PANEL_WIDTH` in log t, 69,009 at horizon 1e300.
 NHPP_EVENT_CEILING = 1 << 23
@@ -109,17 +109,21 @@ def log_waiting_density(
 
 
 def _draw_targets(rng: np.random.Generator, total: float) -> np.ndarray:
-    """Cumulative sums of unit-rate exponentials, truncated at ``total``."""
-    sums = np.empty(0)
+    """Cumulative sums of unit-rate exponentials, truncated at ``total``.
+
+    The sums are taken in place and never fall, so the truncation is a
+    prefix: no copy of a draw-sized array is made beyond the exponentials.
+    """
+    sums = None
     last = 0.0
     while last <= total:
         block = max(64, int(total - last) + int(4.0 * math.sqrt(total + 1.0)))
         incs = rng.exponential(size=block)
         incs[0] += last
-        more = np.cumsum(incs)
-        sums = np.concatenate([sums, more])
+        more = np.cumsum(incs, out=incs)
+        sums = more if sums is None else np.concatenate([sums, more])
         last = float(sums[-1])
-    return sums[sums <= total]
+    return sums[: np.searchsorted(sums, total, side="right")]
 
 
 def _event_cells(grid_lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -212,9 +216,9 @@ def simulate(
     contiguous blocks of :data:`_EVENT_BLOCK` sorted targets, whose arrays
     stay in cache, and each block's roots are written into one output array.
     Every step is elementwise per event, so the times do not depend on the
-    block size.  A draw holds about 33 bytes per event at its peak: the
-    targets, their cells and the output, besides the exponentials' draw and
-    one block's temporaries.  The roots are sorted at the end.
+    block size.  A draw holds about 27 bytes per event at its peak: the
+    targets, their cells and the output, besides one block's temporaries.
+    The roots are sorted at the end.
 
     An expected count ``Lambda((2, horizon])`` above :data:`NHPP_EVENT_CEILING`
     raises :class:`ResourceError` before any draw.
@@ -277,7 +281,9 @@ def simulate(
         hi = grid_t[cell + 1]
         t = np.clip(lo * np.exp(u * (m0[cell] + u * (c2[cell] + u * c3[cell]))), lo, hi)
         times[block] = _invert_block(model, params, grid_start[cell], rest, lo, hi, t)
-    times.sort()
+    # timsort finds the runs, so roots that are sorted or nearly so (as those
+    # of sorted targets are) sort in about one pass over them
+    times.sort(kind="stable")
     return EventStream(times, model, params, int(seed), float(horizon))
 
 

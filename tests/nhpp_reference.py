@@ -3,10 +3,10 @@
 The code under test is :func:`prime_oracle.nhpp.simulate`, which inverts the
 cumulative intensity on contiguous blocks of the sorted targets so that each
 Newton round works on cache-sized arrays.  This is the draw it replaced: the
-same exponential arrival sums (:func:`prime_oracle.nhpp._draw_targets`),
-bracket grid, cubic-Hermite start and Newton rounds, each round one numpy
-pass over every event still active.  Every step is elementwise per event,
-so the two must give the same event times to the bit.
+same exponential arrival sums, bracket grid, cubic-Hermite start and Newton
+rounds, each round one numpy pass over every event still active.  Every step
+is elementwise per event, so the two must give the same event times to the
+bit.
 """
 
 import math
@@ -14,8 +14,22 @@ import math
 import numpy as np
 
 from prime_oracle.errors import DomainError
-from prime_oracle.nhpp import _draw_targets, _event_cells, _hazard, cumulative_intensity
+from prime_oracle.nhpp import _event_cells, _hazard, cumulative_intensity
 from prime_oracle.specialfn import PANEL_WIDTH, increments
+
+
+def draw_targets(rng, total):
+    """Cumulative sums of unit-rate exponentials, truncated at ``total``."""
+    sums = np.empty(0)
+    last = 0.0
+    while last <= total:
+        block = max(64, int(total - last) + int(4.0 * math.sqrt(total + 1.0)))
+        incs = rng.exponential(size=block)
+        incs[0] += last
+        more = np.cumsum(incs)
+        sums = np.concatenate([sums, more])
+        last = float(sums[-1])
+    return sums[sums <= total]
 
 
 def simulate_times(model, params, horizon, seed):
@@ -24,7 +38,7 @@ def simulate_times(model, params, horizon, seed):
         raise DomainError("simulate requires horizon > 2")
     total = cumulative_intensity(model, params, 2.0, horizon)
     rng = np.random.default_rng(seed)
-    targets = _draw_targets(rng, total)
+    targets = draw_targets(rng, total)
     if len(targets) == 0:
         return np.empty(0)
 

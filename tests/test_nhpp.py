@@ -388,11 +388,36 @@ class TestBlockedInversion:
                         )
         assert drawn > 100 * block
 
+    def test_unsorted_roots_are_sorted(self, monkeypatch):
+        # the roots of sorted targets come out sorted in every draw above, so
+        # only roots out of order show that the final sort runs
+        real = nhpp._invert_block
+        monkeypatch.setattr(nhpp, "_invert_block", lambda *args: real(*args)[::-1])
+        assert self.assert_same_draw(RH_SQRT, NEAR_PNT, 1e4, 0) > 1
+
+    def test_draw_targets_over_several_chunks(self):
+        # a draw of unit-rate exponentials overshoots its first chunk of
+        # total + 4 sqrt(total) but for about 3e-5 of seeds; exponentials a
+        # tenth as long take several chunks every time
+        class Short:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def exponential(self, size):
+                return 0.1 * self.rng.exponential(size=size)
+
+        for total in (30.0, 1e4):
+            for seed in range(5):
+                got = _draw_targets(Short(seed), total)
+                expected = nhpp_reference.draw_targets(Short(seed), total)
+                assert got.tobytes() == expected.tobytes()
+                assert len(got) > 5 * total
+
     def test_memory_per_event(self):
         # the whole-draw arrays are the targets, their cells and the output
-        # (24 B/event) besides the exponentials' draw; one block's Newton
-        # temporaries are a fixed cost.  The one-array inversion peaked at
-        # 104-120 B/event here, the blocked one at 33
+        # (24 B/event); one block's Newton temporaries are a fixed cost.  The
+        # one-array inversion peaked at 104-120 B/event here, the blocked one
+        # at 27
         params = IntensityParams(1.0, 1.0)
         tracemalloc.start()
         try:
