@@ -112,7 +112,8 @@ def _draw_targets(rng: np.random.Generator, total: float) -> np.ndarray:
     """Cumulative sums of unit-rate exponentials, truncated at ``total``.
 
     The sums are taken in place and never fall, so the truncation is a
-    prefix: no copy of a draw-sized array is made beyond the exponentials.
+    prefix view: a draw that ends in its first chunk, as all but about 3e-5
+    of them do, copies no draw-sized array beyond the exponentials.
     """
     sums = None
     last = 0.0
@@ -140,11 +141,13 @@ def _event_cells(grid_lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 #: Events per block of the Newton inversion in :func:`simulate`.  A round
-#: makes about 40 float temporaries per event; at 2**14 events each is 128 KiB,
-#: so a block's working set stays in a 2 MB L2 cache.  On a 2-core Xeon with
-#: 2 MB of L2 per core, 30 draws at 1e6 (rh-sqrt, rh-eps:0.1, mt; beta 0.01)
-#: ran at a median 11.2M events/s in blocks of 2**14, 10.7M in blocks of
-#: 2**13 and 10.0M in blocks of 2**15, against 6.5M for one whole array.
+#: makes about 40 float temporaries per event, but at most 14 float arrays,
+#: the block's five inputs included, are alive at once (112 bytes per event
+#: under tracemalloc); at 2**14 events that is 1.8 MB, which stays in a 2 MB
+#: L2 cache.  On a 2-core Xeon with 2 MB of L2 per core, ten alternating
+#: sets of nine draws at 1e6 (rh-sqrt, rh-eps:0.1, mt; beta 0.01; three
+#: seeds) ran at a median 10.9M events/s in blocks of 2**14, 10.3M in blocks
+#: of 2**13 and 10.6M in blocks of 2**15, against 7.4M for one whole array.
 _EVENT_BLOCK = 1 << 14
 
 

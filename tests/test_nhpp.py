@@ -373,6 +373,25 @@ class TestBlockedInversion:
         for seed in range(3):
             assert self.assert_same_draw(RH_SQRT, IntensityParams(1e-295, 0.0), 1e300, seed) > 100
 
+    @pytest.mark.parametrize("block", [7, nhpp._EVENT_BLOCK])
+    @pytest.mark.parametrize("scale", [0.4, 3.0])
+    def test_matches_over_many_rounds(self, scale, block, monkeypatch):
+        # from the Hermite start a second round moves no event by an ulp, so
+        # the draws above check only the first.  A hazard off by a constant
+        # factor, in the start's slopes and the Newton step alike, takes every
+        # event through 13-32 rounds; at 0.4 the steps overshoot out of their
+        # brackets, so the bisection runs too
+        real = nhpp._hazard
+
+        def off(model, params, t):
+            return scale * real(model, params, t)
+
+        monkeypatch.setattr(nhpp, "_hazard", off)
+        monkeypatch.setattr(nhpp_reference, "_hazard", off)
+        monkeypatch.setattr(nhpp, "_EVENT_BLOCK", block)
+        for model in (RH_SQRT, MT):
+            assert self.assert_same_draw(model, NEAR_PNT, 1e4, 1) > 1000
+
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_edges_everywhere(self, block, monkeypatch):
         # blocks of 1 and 7 events put a block edge between every pair of
