@@ -15,6 +15,7 @@ from .numtheory import (
     is_prime_u64,
     lucas_lehmer,
     mersenne_digit_count,
+    prime_segments,
     primes_up_to,
 )
 from .specialfn import (

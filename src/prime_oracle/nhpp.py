@@ -48,7 +48,7 @@ __all__ = [
 NHPP_EVENT_CEILING = 1 << 23
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventStream:
     """One realization of the process up to ``horizon``."""
 

@@ -4,8 +4,8 @@
 meant to run it over several segments and the ``posterior`` workload's over
 one, so a change to ``numtheory._SEGMENT`` or to the sizes in
 ``bench/ops.py`` must not quietly move both cases to the same side.  A
-segment holds ``_SEGMENT`` flags for odd integers only, so both checks count
-``2 * _SEGMENT`` integers per segment.  The ``nhpp`` workload's draws must
+segment holds ``_SEGMENT`` flags for the integers prime to 6 only, so both
+checks count ``3 * _SEGMENT`` integers per segment.  The ``nhpp`` workload's draws must
 stay below ``nhpp.NHPP_EVENT_CEILING``, or every timed op would be a refusal.
 These tests read the sizes (without changing them) and check both.
 """
@@ -33,11 +33,11 @@ FULL = BENCH_OPS.FULL
 def test_integer_sieve_spans_several_segments():
     # ops.py draws the limit from sieve_base + [sieve_extra // 3, sieve_extra)
     smallest = FULL["sieve_base"] + FULL["sieve_extra"] // 3
-    assert smallest >= 2 * numtheory._SEGMENT
+    assert smallest >= 3 * numtheory._SEGMENT
 
 
 def test_posterior_sieve_fits_one_segment():
-    assert FULL["posterior_limit"] < 2 * numtheory._SEGMENT
+    assert FULL["posterior_limit"] < 3 * numtheory._SEGMENT
 
 
 def test_nhpp_draws_stay_below_event_ceiling():

@@ -105,6 +105,14 @@ class TestWaitingDensity:
 
 
 class TestSimulate:
+    def test_equality_is_identity(self):
+        # the generated __eq__ and __hash__ would compare and hash the times
+        a = simulate(RH_SQRT, UNIT, 1e3, seed=1)
+        b = simulate(RH_SQRT, UNIT, 1e3, seed=1)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     def test_times_are_valid(self):
         stream = simulate(RH_SQRT, UNIT, 1e4, seed=5)
         t = stream.times

@@ -15,6 +15,7 @@ from prime_oracle.numtheory import (
     is_prime_u64,
     lucas_lehmer,
     mersenne_digit_count,
+    prime_segments,
     primes_up_to,
 )
 
@@ -139,21 +140,32 @@ class TestPrimesUpTo:
         assert p[-1] <= primes_small.limit
 
     def test_segment_boundaries(self, monkeypatch):
-        # A segment of ``seg`` odd-only flags spans 2*seg integers: limits on
-        # either side of the k-th multiple of seg and of 2*seg, at a prime
-        # square, and at a prime square p*p = 2*k*seg + 1 that is a segment's
-        # first flag (limit p*p makes it the whole last segment).
+        # A segment of ``seg`` flags, one per integer prime to 6, spans
+        # 3*seg integers: limits on either side of the k-th multiple of seg,
+        # 2*seg and 3*seg, at a prime square, at the squares p*p = 2*k*seg + 1
+        # that were a segment's first flag with one flag per odd integer, and
+        # at a prime square q*q whose flat index q*q // 3 is a multiple of
+        # seg, so that q*q is a segment's first flag (limit q*q makes it the
+        # whole last segment).
         expected = trial_division_primes(751 * 751 + 1000)
-        for seg, p in ((2, 3), (7, 13), (64, 127), (1000, 751)):
+        for seg, p, q in ((2, 3, 5), (7, 13, 29), (64, 127, 191), (1000, 751, 499)):
             assert p * p % (2 * seg) == 1 and trial_division_is_prime(p)
+            assert q * q // 3 % seg == 0 and trial_division_is_prime(q)
             monkeypatch.setattr(numtheory, "_SEGMENT", seg)
-            limits = [m * k * seg + d for m in (1, 2) for k in (1, 2, 5) for d in (-1, 0, 1)]
-            limits += [97 * 97, p * p, p * p + seg]
+            limits = [m * k * seg + d for m in (1, 2, 3) for k in (1, 2, 5) for d in (-1, 0, 1)]
+            limits += [97 * 97, p * p, p * p + seg, q * q - 1, q * q, q * q + 1, q * q + 3 * seg]
             for limit in [n for n in limits if n >= 2]:
                 got = primes_up_to(limit).primes
                 assert got.dtype == np.uint64
                 want = expected[: bisect.bisect_right(expected, limit)]
                 assert got.tolist() == want, (seg, limit)
+
+    def test_equality_is_identity(self):
+        # the generated __eq__ and __hash__ would compare and hash the array
+        a, b = primes_up_to(100), primes_up_to(100)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
     @given(st.integers(min_value=2, max_value=20_000))
     @settings(max_examples=60, deadline=None)
@@ -169,6 +181,137 @@ class TestPrimesUpTo:
     def test_resource_ceiling(self):
         with pytest.raises(ResourceError):
             primes_up_to(10**9 + 1)
+
+
+#: Sizes of ``_SEGMENT`` the window tests run at, each a few flags wide.
+SMALL_SEGMENTS = (2, 7, 64, 1000)
+ORACLE_TOP = 80_000
+
+
+@pytest.fixture(scope="module")
+def oracle_primes():
+    return trial_division_primes(ORACLE_TOP)
+
+
+def window_of(oracle, lo, hi):
+    """The oracle's primes in ``[lo, hi)``."""
+    return oracle[bisect.bisect_left(oracle, lo) : bisect.bisect_left(oracle, hi)]
+
+
+def streamed(lo, hi):
+    """``prime_segments(lo, hi)`` joined, after checking each array's type and order."""
+    got = []
+    for arr in prime_segments(lo, hi):
+        assert arr.dtype == np.uint64
+        values = arr.tolist()
+        assert values == sorted(set(values))
+        assert not got or not values or values[0] > got[-1]
+        got += values
+    return got
+
+
+class TestPrimeSegments:
+    @pytest.mark.parametrize("seg", SMALL_SEGMENTS)
+    def test_windows_match_trial_division(self, seg, monkeypatch, oracle_primes):
+        monkeypatch.setattr(numtheory, "_SEGMENT", seg)
+        rng = random.Random(seg)
+        windows = [(0, ORACLE_TOP), (1, 2), (5, 5)]
+        for _ in range(40):
+            lo = rng.randrange(0, ORACLE_TOP - 3000)
+            windows.append((lo, lo + rng.randrange(0, 3000)))
+        for lo, hi in windows:
+            assert streamed(lo, hi) == window_of(oracle_primes, lo, hi), (seg, lo, hi)
+
+    @pytest.mark.parametrize("seg", SMALL_SEGMENTS)
+    def test_windows_at_segment_edges_and_squares(self, seg, monkeypatch, oracle_primes):
+        # a segment starts at the integer 3*k*seg; flat index q*q // 3 a
+        # multiple of seg puts the square q*q first in its segment
+        monkeypatch.setattr(numtheory, "_SEGMENT", seg)
+        edges = [3 * k * seg + d for k in (1, 2, 5) for d in (-1, 0, 1)]
+        squares = [q for q in (5, 29, 191, 251) if q * q // 3 % seg == 0]
+        edges += [p * p + d for p in (5, 7, 97, *squares) for d in (-1, 0, 1)]
+        windows = [(lo, hi) for lo in edges for hi in edges if 0 <= hi - lo <= 2000]
+        for e in edges:
+            for width in (1, 2, 100, 3 * seg + 1, 9 * seg):
+                windows += [(max(e - width, 0), e), (e, e + width)]
+        for lo, hi in windows:
+            assert streamed(lo, hi) == window_of(oracle_primes, lo, hi), (seg, lo, hi)
+
+    @given(
+        st.sampled_from(SMALL_SEGMENTS),
+        st.integers(min_value=0, max_value=20_000),
+        st.integers(min_value=0, max_value=20_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_windows(self, seg, a, b):
+        lo, hi = min(a, b), max(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numtheory, "_SEGMENT", seg)
+            got = streamed(lo, hi)
+        assert got == [n for n in range(lo, hi) if trial_division_is_prime(n)]
+
+    def test_small_windows(self):
+        # 2 and 3 go in front of the first array and 5 is its first flag:
+        # each appears only inside the window, and 1 (flag 0) never does
+        oracle = trial_division_primes(30)
+        for seg in SMALL_SEGMENTS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numtheory, "_SEGMENT", seg)
+                for lo in range(31):
+                    for hi in range(lo, 31):
+                        got = streamed(lo, hi)
+                        assert got == window_of(oracle, lo, hi), (seg, lo, hi)
+                        assert 1 not in got
+                        for p in (2, 3, 5):
+                            assert (p in got) == (lo <= p < hi)
+
+    def test_adjacent_windows_concatenate(self, monkeypatch):
+        rng = random.Random(30)
+        for seg in SMALL_SEGMENTS:
+            monkeypatch.setattr(numtheory, "_SEGMENT", seg)
+            for _ in range(25):
+                start = rng.randrange(0, 15_000)
+                a, b, c = sorted(start + rng.randrange(0, 5_000) for _ in range(3))
+                if c < 3:
+                    continue
+                table = primes_up_to(c - 1).primes
+                want = table[np.searchsorted(table, a) :].tolist()
+                assert streamed(a, b) + streamed(b, c) == want, (seg, a, b, c)
+
+    def test_full_segments_match_the_table(self):
+        # around the first edges of the real segment size, 3 * _SEGMENT
+        span = 3 * numtheory._SEGMENT
+        table = primes_up_to(2 * span + 2000).primes
+        for lo, hi in ((0, span + 1), (span - 1000, span + 1000), (span - 1, 2 * span + 1)):
+            want = table[np.searchsorted(table, lo) : np.searchsorted(table, hi)].tolist()
+            assert streamed(lo, hi) == want, (lo, hi)
+
+    def test_refusals(self):
+        # refused at the call, before the first array is asked for
+        with pytest.raises(DomainError):
+            prime_segments(-1, 10)
+        with pytest.raises(DomainError):
+            prime_segments(11, 10)
+        with pytest.raises(ResourceError):
+            prime_segments(0, 10**12 + 1)
+        assert list(prime_segments(10**12 - 10, 10**12 - 10)) == []
+
+    def test_stream_holds_no_table(self):
+        # [1e8, 1e8 + 1e7) holds 541,854 primes (4.3 MB as uint64), about
+        # four segments of 3 * 2**20 integers; held one segment at a time
+        lo, hi = 10**8, 10**8 + 10**7
+        count, last = 0, lo - 1
+        tracemalloc.start()
+        try:
+            for arr in prime_segments(lo, hi):
+                count += len(arr)
+                assert int(arr[0]) > last
+                last = int(arr[-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 541_854
+        assert peak < 8 * 2**20, peak
 
 
 #: The two primality paths: one value at a time, and one array pass.
