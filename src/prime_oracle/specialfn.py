@@ -185,6 +185,17 @@ def _ret(arr: np.ndarray, value):
     return value
 
 
+def _log_1d(arr: np.ndarray) -> np.ndarray:
+    """``log(arr)`` with at least one dimension, for the error forms.
+
+    On a numpy scalar ``** 0.5`` calls ``pow``, on an array ``sqrt``: the MT
+    form rounds an ulp apart in the two, which ``exp(log F_raw)`` widens to
+    some twenty.  A scalar taken as a one-entry array rounds as the same
+    entry of a batch does.
+    """
+    return np.log(arr.reshape(arr.shape or (1,)))
+
+
 def li(x):
     """Reciprocal-log density ``1 / log(x)`` for ``x > 1``."""
     arr = _check_min(x, 1.0, strict=True, what="li")
@@ -238,8 +249,8 @@ def error_integral_raw(model: ErrorBoundModel, x):
     stage contributions, which is anchored so ``F(2) == 0``.
     """
     arr = _check_min(x, 1.0, strict=True, what="error_integral_raw")
-    lg = np.log(arr)
-    return _ret(arr, np.exp(error_forms(model)[0](lg, np.log(lg))))
+    lg = _log_1d(arr)
+    return _ret(arr, np.exp(error_forms(model)[0](lg, np.log(lg))).reshape(arr.shape))
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,7 +319,7 @@ def error_density(model: ErrorBoundModel, x):
     arr = _check_min(x, 2.0, strict=False, what="error_density")
     if model.variant is Variant.X_OVER_LOG and (arr <= _E).any():
         raise DomainError("X_OVER_LOG density is not positive below e")
-    return _ret(arr, signed_density(model, np.log(arr)))
+    return _ret(arr, signed_density(model, _log_1d(arr)).reshape(arr.shape))
 
 
 def positive_density_floor(model: ErrorBoundModel) -> int:
