@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import nhpp, nonrecursive_bayes, pipeline, recursive_bayes
+from ._fork import both
 from .errors import DomainError, ResourceError
 from .numtheory import (
     LUCAS_LEHMER_CEILING,
@@ -36,18 +37,26 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(TmcmcConfig)}
 _FINITE_FLAGS = ("limit", "horizon")
 
 #: ``ll-check`` trial-factors exponent p below ``2**b``, b the bit length of
-#: ``2 * _LL_SCREEN_M * p``: the first 512 to 1023 values of m.  Up to 1500
-#: that settles 107 of 238 exponents in about 5 ms and leaves 52% of the
-#: Lucas-Lehmer time.  128 settles 98 and 2048 settles 121, but the screen
-#: then costs 27 ms, more than the tests it saves.
+#: ``2 * _LL_SCREEN_M * p``: the first 512 to 1023 values of m.  Up to 1500,
+#: with Lucas-Lehmer on two cores, it settles 99 of the 221 exponents
+#: screened; screen plus Lucas-Lehmer took 105 ms, against 111 ms with 128
+#: (90 settled, the screen 4.9 ms against 8.7 ms) and 113 ms with 2048 (112
+#: settled, but the screen costs 28 ms).  Medians of 21 shuffled rounds.
 _LL_SCREEN_M = 512
 
 #: ``ll-check`` screens only exponents from here on.  Below it Lucas-Lehmer
-#: costs under 40 us an exponent, and the screen's fixed cost, about 0.5 ms
-#: a call, is more than it saves: ``--max-exponent 61`` took 0.79 ms with
-#: every exponent screened and 0.20 ms with none; at 1500 the two agree
-#: within noise.
+#: costs under 40 us an exponent, and the screen's fixed cost is more than it
+#: saves: ``--max-exponent 61`` took 1.07 ms with every exponent screened and
+#: 0.35 ms with none.  Up to 1500, screening from 3 took 110 ms, from 64
+#: 105 ms and from 128 107 ms, within noise of each other.
 _LL_SCREEN_FROM = 64
+
+#: ``ll-check`` splits its Lucas-Lehmer tests between two cores from this
+#: total cost on (see :func:`_mersenne_exponents`); one unit is about
+#: 1-1.6 ns.  The fork repays from about 9e6: the tests left up to 500
+#: (7.7e6) took 8.6 ms on one core and 10.3 ms on two, those up to 600
+#: (1.1e7) 11.8 ms and 9.0 ms (medians of 15, 2-core Xeon).
+_LL_TWO_CORE_COST = 10**7
 
 
 def _read_config_file(path: str) -> dict:
@@ -287,13 +296,36 @@ def _cmd_ll_check(args) -> int:
     depths = [(2 * _LL_SCREEN_M * p).bit_length() for p in screened]
     factors = pipeline.trial_factor_batch(screened, depths)
     factored = {p for p, q in zip(screened, factors) if q is not None}
-    found = []
-    for p in exponents:
-        if p not in factored and lucas_lehmer(p):
-            found.append(p)
-            print(f"2^{p}-1 is prime ({mersenne_digit_count(p)} digits)")
+    found = _mersenne_exponents([p for p in exponents if p not in factored])
+    for p in found:
+        print(f"2^{p}-1 is prime ({mersenne_digit_count(p)} digits)")
     print(f"{len(found)} Mersenne exponents up to {args.max_exponent}: {found}")
     return 0
+
+
+def _mersenne_exponents(exponents: list[int]) -> list[int]:
+    """The exponents ``p`` for which :func:`.numtheory.lucas_lehmer` proves ``2**p - 1`` prime, ascending.
+
+    The tests are dealt into two sets of about equal cost, ``p * (p + 300)``
+    each, from the largest exponent down, each into the set that costs less
+    so far.  From a total cost of :data:`_LL_TWO_CORE_COST` on, the second
+    set runs in a forked worker while the first runs here
+    (:func:`._fork.both`).
+    """
+    sets: tuple[list[int], list[int]] = ([], [])
+    costs = [0, 0]
+    for p in sorted(exponents, reverse=True):
+        j = costs[1] < costs[0]
+        sets[j].append(p)
+        costs[j] += p * (p + 300)
+    if sum(costs) < _LL_TWO_CORE_COST:
+        return _lucas_lehmer_primes(exponents)
+    mine, theirs = both(*(functools.partial(_lucas_lehmer_primes, ps) for ps in sets))
+    return sorted(mine + theirs)
+
+
+def _lucas_lehmer_primes(exponents: list[int]) -> list[int]:
+    return [p for p in exponents if lucas_lehmer(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,18 @@ provenance to reproduce them.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import json
 import math
-import os
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ._fork import both
 from .errors import DomainError
 from .numtheory import (
     MILLER_RABIN_LIMIT,
@@ -90,10 +88,6 @@ _TF_SMALL_PRIME_BOUND = 1 << 12
 #: sieve segment does.  Measured 10% faster at 44 bits than 2**20 and level
 #: with 2**17.
 _TF_BLOCK = 1 << 18
-
-#: ``prctl`` option from ``<linux/prctl.h>``: the signal a process gets when
-#: the thread that forked it exits.
-_PR_SET_PDEATHSIG = 1
 
 #: Chain steps per block of :func:`collect_candidates`: the states of one
 #: block and their numpy scratch take a few MB, whatever the hunt length.
@@ -361,8 +355,8 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
     round re-seats p0 on the largest prime found and re-calibrates k.
 
     The chains of a round share nothing until their candidates merge, so
-    with two or more usable cores the first runs in this process while the
-    others run at the same time in forked workers (:func:`_chain_pool`);
+    the first runs in this process while the others run at the same time in
+    a forked worker where :func:`._fork.forks` allows (:func:`_collect_round`);
     the merge goes in kind order either way, so records and stats are the
     same as when the chains run in turn.
     """
@@ -373,114 +367,61 @@ def _hunt(plan: HuntPlan, kinds: tuple[TargetKind, ...]) -> HuntResult:
     records: list[CandidateRecord] = []
     p0, k = plan.p0, plan.k
     steps = plan.burn_in + plan.iterations
-    with _chain_pool(len(kinds)) as pool:
-        for rnd in range(plan.rounds):
-            round_best = 0
-            jobs = [
-                (
-                    HuntTarget(kind, p0, k, plan.model),
-                    replace(plan.config, seed=plan.config.seed + len(kinds) * rnd + offset),
+    for rnd in range(plan.rounds):
+        round_best = 0
+        jobs = [
+            (
+                HuntTarget(kind, p0, k, plan.model),
+                replace(plan.config, seed=plan.config.seed + len(kinds) * rnd + offset),
+            )
+            for offset, kind in enumerate(kinds)
+        ]
+        results = _collect_round(jobs, steps, plan.burn_in)
+        for (target, cfg), (visited, chain, small, oversize) in zip(jobs, results):
+            kind = target.kind
+            mersenne = kind is TargetKind.MERSENNE_H1
+            rec_kind = RecordKind.MERSENNE_EXPONENT if mersenne else RecordKind.GENERAL_PRIME
+            bits = plan.trial_factor_bits if mersenne else None
+            stats.iterations += steps
+            stats.add_chain(chain)
+            stats.skipped_small += small
+            stats.skipped_oversize += oversize
+            stats.distinct_candidates += len(visited)
+            prime_set = stats.primes_by_target.setdefault(kind.value, set())
+            for value, it in sorted(visited.items()):
+                if not is_prime_u64(value):
+                    continue
+                if bits is not None and mersenne_small_factor(value, bits) is not None:
+                    stats.factored_out += 1
+                    continue
+                prime_set.add(value)
+                round_best = max(round_best, value)
+                if (value, rec_kind) in seen:
+                    continue
+                seen.add((value, rec_kind))
+                digits = mersenne_digit_count(value) if mersenne else None
+                records.append(
+                    CandidateRecord(value, rec_kind, p0, k, cfg.seed, it, kind.value, digits)
                 )
-                for offset, kind in enumerate(kinds)
-            ]
-            results = _collect_round(pool, jobs, steps, plan.burn_in)
-            for (target, cfg), (visited, chain, small, oversize) in zip(jobs, results):
-                kind = target.kind
-                mersenne = kind is TargetKind.MERSENNE_H1
-                rec_kind = RecordKind.MERSENNE_EXPONENT if mersenne else RecordKind.GENERAL_PRIME
-                bits = plan.trial_factor_bits if mersenne else None
-                stats.iterations += steps
-                stats.add_chain(chain)
-                stats.skipped_small += small
-                stats.skipped_oversize += oversize
-                stats.distinct_candidates += len(visited)
-                prime_set = stats.primes_by_target.setdefault(kind.value, set())
-                for value, it in sorted(visited.items()):
-                    if not is_prime_u64(value):
-                        continue
-                    if bits is not None and mersenne_small_factor(value, bits) is not None:
-                        stats.factored_out += 1
-                        continue
-                    prime_set.add(value)
-                    round_best = max(round_best, value)
-                    if (value, rec_kind) in seen:
-                        continue
-                    seen.add((value, rec_kind))
-                    digits = mersenne_digit_count(value) if mersenne else None
-                    records.append(
-                        CandidateRecord(value, rec_kind, p0, k, cfg.seed, it, kind.value, digits)
-                    )
-            if rnd + 1 < plan.rounds and round_best > p0:
-                p0, k = round_best, solve_k(round_best)
+        if rnd + 1 < plan.rounds and round_best > p0:
+            p0, k = round_best, solve_k(round_best)
     if out is not None:
         write_records(out, records)
     return HuntResult(records, stats)
 
 
-@contextlib.contextmanager
-def _chain_pool(chains: int):
-    """Forked workers for all but one of a round's ``chains``, or None.
-
-    None (the chains run in turn) when there is one chain, one usable core,
-    or a platform other than Linux, where :func:`_end_with` has no
-    ``prctl``.  Leaving the block normally joins every worker; leaving it by
-    an exception (a ``KeyboardInterrupt`` too) kills them first, so the
-    caller does not wait for a chain whose result no one will read.  The
-    workers are forked: a spawned one would first import the package (about
-    0.15 s), longer than a chain of 1e5 steps takes.
-    """
-    if chains < 2 or sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
-        yield None
-        return
-    # imported here, so importing the CLI does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        chains - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_end_with,
-        initargs=(os.getpid(),),
-    ) as pool:
-        try:
-            yield pool
-        except BaseException:
-            # No public call stops a running task before Python 3.14's
-            # terminate_workers, so the workers are read from the pool.
-            for worker in list((getattr(pool, "_processes", None) or {}).values()):
-                worker.kill()
-                worker.join()
-            raise
-
-
-def _end_with(caller: int) -> None:
-    """Worker initializer: the kernel kills this worker when ``caller`` dies.
-
-    A caller killed outright (SIGTERM, SIGKILL) never shuts the pool down,
-    and its idle worker would wait for the next job for ever.
-    """
-    import ctypes
-    import signal
-
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    prctl.restype = ctypes.c_int
-    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != caller:  # the caller died before prctl
-        os._exit(1)
-
-
-def _collect_round(pool, jobs, steps: int, burn_in: int) -> list[CollectResult]:
+def _collect_round(jobs, steps: int, burn_in: int) -> list[CollectResult]:
     """:func:`collect_candidates` for each ``(target, config)`` job, in job order.
 
-    With a pool, job 0 runs here while the others run in its workers at the
-    same time; a worker's exception is raised here as it was raised there.
+    Job 0 runs here while the others run in turn in a forked worker at the
+    same time (:func:`._fork.both`); a worker's exception is raised here as
+    it was raised there.
     """
-    if pool is None:
-        return [collect_candidates(t, c, steps, burn_in) for t, c in jobs]
-    futures = [pool.submit(collect_candidates, t, c, steps, burn_in) for t, c in jobs[1:]]
-    return [collect_candidates(*jobs[0], steps, burn_in), *(f.result() for f in futures)]
+    here, *others = [functools.partial(collect_candidates, t, c, steps, burn_in) for t, c in jobs]
+    if not others:
+        return [here()]
+    mine, theirs = both(here, lambda: [run() for run in others])
+    return [mine, *theirs]
 
 
 def trial_factor_batch(ps: Iterable[int], bits) -> list[int | None]:

@@ -118,6 +118,9 @@ def make_log_target(target: HuntTarget) -> Callable[[float], float]:
     """
     p0 = float(target.p0)
     k = float(target.k)
+    # The target stays on Python floats for criterion 12's byte identity: on
+    # arrays the MT form rounds up to 2 ulps apart (``** 0.5`` takes ``sqrt``,
+    # not ``pow``), which can move an accept and so the records.
     log_raw, elasticity = error_forms(target.model)
     exp, log = math.exp, math.log
 

@@ -1,12 +1,35 @@
 import collections
+import os
 import pathlib
+import signal
 import sys
 
 import pytest
 
 from prime_oracle.numtheory import primes_up_to
 
+import procs
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child of this process running or unreaped (Linux only).
+
+    The children are then killed and reaped, so the next test starts clean.
+    """
+    if sys.platform != "linux":
+        yield
+        return
+    before = set(procs.children(os.getpid()))
+    yield
+    left = sorted(set(procs.children(os.getpid())) - before)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if left:
+        pytest.fail(f"the test left child processes {left}")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import gc
+import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import trial_factor
 from prime_oracle import cli, pipeline
 from prime_oracle import recursive_bayes as rb
 from prime_oracle.cli import _read_config_file, build_parser, main
+from prime_oracle.errors import DomainError
 from prime_oracle.numtheory import (
     LUCAS_LEHMER_CEILING,
     lucas_lehmer,
@@ -342,11 +345,13 @@ class TestVerifyAndLl:
 
         monkeypatch.setattr(cli.pipeline, "trial_factor_batch", batch)
         monkeypatch.setattr(cli, "lucas_lehmer", counted)
+        # one core, so no test runs in a worker this process cannot count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert main(["ll-check", "--max-exponent", "1500"]) == 0
         capsys.readouterr()
         exponents = primes_up_to(1500).primes[1:].tolist()
         assert sorted(screened) == [p for p in exponents if p >= 64]
-        assert tested == [p for p in exponents if screened.get(p) is None]
+        assert sorted(tested) == [p for p in exponents if screened.get(p) is None]
         assert len(tested) < len(screened)
         assert set(MERSENNE_EXPONENTS_TO_1500) <= set(tested)
 
@@ -369,6 +374,40 @@ class TestVerifyAndLl:
         capsys.readouterr()
         assert screened == [67, 71, 73]
         assert tested == primes_up_to(72).primes[1:].tolist()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker is forked on Linux only")
+    @pytest.mark.parametrize("top", [3, 61, 64, 127, 1500])
+    def test_ll_check_same_output_on_one_and_two_cores(self, top, capsys, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            assert main(["ll-check", "--max-exponent", str(top)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        # below the two-core cost the tests run here on either count
+        assert len(forks) == (top == 1500)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker is forked on Linux only")
+    def test_ll_check_worker_error_reaches_the_caller(self, capsys, monkeypatch):
+        caller = os.getpid()
+
+        def refusing(p):
+            if os.getpid() != caller:
+                raise DomainError(f"refused {p} in process {os.getpid()}")
+            return lucas_lehmer(p)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "lucas_lehmer", refusing)
+        with pytest.raises(DomainError, match=r"^refused \d+ in process \d+$") as caught:
+            cli._mersenne_exponents(primes_up_to(1500).primes[1:].tolist())
+        assert type(caught.value) is DomainError
+        assert int(caught.value.args[0].rsplit(" ", 1)[1]) != caller
+        assert main(["ll-check", "--max-exponent", "1500"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: refused ")
 
     def test_ll_check_cap(self, capsys):
         assert main(["ll-check", "--max-exponent", "200000"]) == 2

@@ -1,6 +1,8 @@
 import bisect
 import math
+import os
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,9 +124,11 @@ class TestPrimesUpTo:
         for k, count in enumerate(PI_POWERS_OF_TEN, start=1):
             assert numtheory._prime_count_bound(10**k) >= count, k
 
-    def test_table_held_once(self):
+    def test_table_held_once(self, monkeypatch):
         # the primes are written into one array sized by the bound: chunks
-        # joined by np.concatenate peaked at twice the 44 MiB table at 1e8
+        # joined by np.concatenate peaked at twice the 44 MiB table at 1e8.
+        # One usable CPU, so the table is a numpy array tracemalloc sees.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         tracemalloc.start()
         try:
             table = primes_up_to(10**8)
@@ -132,6 +136,21 @@ class TestPrimesUpTo:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * table.primes.nbytes + 8 * 2**20, peak
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker is forked on Linux only")
+    def test_two_core_table_is_the_shared_mapping(self, monkeypatch):
+        # on two cores the table lives in the mapping both processes wrote,
+        # which tracemalloc does not see, and the caller's own arrays stay
+        # at a few segments' scratch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tracemalloc.start()
+        try:
+            table = primes_up_to(10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 5_761_455
+        assert peak <= 8 * 2**20 < table.primes.nbytes, peak
 
     def test_table_invariants(self, primes_small):
         p = primes_small.primes.astype(np.int64)
@@ -159,6 +178,65 @@ class TestPrimesUpTo:
                 assert got.dtype == np.uint64
                 want = expected[: bisect.bisect_right(expected, limit)]
                 assert got.tolist() == want, (seg, limit)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker is forked on Linux only")
+    @pytest.mark.parametrize("seg", [2, 7, 64])
+    def test_two_cores_match_one(self, seg, monkeypatch):
+        # Limits around every segment edge for segment counts from just
+        # below the two-core cut to past it, around the split point of each
+        # count, and at prime squares, on one usable CPU and on two: the
+        # tables must be equal, and a worker forked exactly for the limits
+        # whose segments reach the cut.
+        monkeypatch.setattr(numtheory, "_SEGMENT", seg)
+        span, cut = 3 * seg, numtheory._TWO_CORE_SEGMENTS
+        limits = set()
+        for n in range(cut - 1, cut + 4):
+            mid = span * ((n + 1) // 2)
+            limits |= {n * span + d for d in (-2, -1, 0, 1)} | {mid + d for d in (-1, 0, 1)}
+        top = max(limits)
+        limits |= {p * p + d for p in trial_division_primes(math.isqrt(top)) for d in (-1, 0, 1)}
+        limits = sorted(n for n in limits if 2 <= n <= top)
+        expected = trial_division_primes(top)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        for limit in limits:
+            tables = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+                tables.append(primes_up_to(limit))
+            want = expected[: bisect.bisect_right(expected, limit)]
+            for table in tables:
+                assert table.limit == limit and table.primes.dtype == np.uint64
+                assert table.primes.tolist() == want, (seg, limit)
+        segments = [-(-numtheory._flag_index(n + 1) // seg) for n in limits]
+        assert {cut - 1, cut, cut + 1} <= set(segments)
+        assert len(forks) == sum(n >= cut for n in segments)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker is forked on Linux only")
+    def test_two_cores_match_one_at_3e7(self, monkeypatch):
+        # ten real segments, past the cut
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            tables.append(primes_up_to(3 * 10**7).primes)
+        assert len(tables[0]) == 1_857_859  # pi(3e7)
+        assert np.array_equal(tables[0], tables[1])
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker is forked on Linux only")
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        sieve, caller = numtheory._sieve, os.getpid()
+
+        def refusing(lo, hi):
+            if os.getpid() != caller:
+                raise DomainError(f"refused [{lo}, {hi}) in process {os.getpid()}")
+            return sieve(lo, hi)
+
+        monkeypatch.setattr(numtheory, "_sieve", refusing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(DomainError, match=r"^refused \[\d+, 30000001\) in process \d+$") as caught:
+            primes_up_to(3 * 10**7)
+        assert type(caught.value) is DomainError
+        assert int(caught.value.args[0].rsplit(" ", 1)[1]) != caller
 
     def test_equality_is_identity(self):
         # the generated __eq__ and __hash__ would compare and hash the array

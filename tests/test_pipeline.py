@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import random
@@ -34,6 +33,7 @@ from prime_oracle.pipeline import (
 from prime_oracle.tmcmc import HuntTarget, TargetKind, TmcmcChain, TmcmcConfig, run_steps
 
 from collect import collect_candidates as oracle_collect
+from procs import children, ended
 from test_numtheory import trial_division_is_prime
 from trial_factor import mersenne_small_factor as scalar_small_factor
 from trial_factor import trial_factor_batch as scalar_batch
@@ -169,22 +169,20 @@ class TestHuntGeneralRounds:
         assert result.stats.iterations == 2 * (20_000 + 30_000)
 
 
-#: Runs a hunt too long to finish and prints the worker chain's pid once it starts.
-KILLED_HUNT = r"""
-import os
-from prime_oracle import pipeline
-
-pipeline.os.sched_getaffinity = lambda pid: {0, 1}
-collect, caller = pipeline.collect_candidates, os.getpid()
-
-def announced(*args):
-    if os.getpid() != caller:
-        print(os.getpid(), flush=True)
-    return collect(*args)
-
-pipeline.collect_candidates = announced
-pipeline.hunt_general(pipeline.HuntPlan(p0=999_983, iterations=10**8))
+#: Runs the command of its argv as if two CPUs were usable.
+TWO_CPU_COMMAND = r"""
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from prime_oracle.cli import main
+main(sys.argv[1:])
 """
+
+#: Commands whose forked worker's share runs for minutes, far longer than a
+#: killed or interrupted caller may leave it running.
+LONG_COMMANDS = {
+    "hunt": ["hunt", "--p0", "999983", "--iters", "100000000"],
+    "ll-check": ["ll-check", "--max-exponent", "20000"],
+}
 
 
 def _env_with_src():
@@ -194,43 +192,41 @@ def _env_with_src():
     ))
 
 
-def _ended(pid):
-    """Whether ``pid`` has exited: gone, or a zombie no one has reaped yet."""
-    try:
-        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return True
-    return stat.rsplit(")", 1)[1].split()[0] == "Z"
-
-
-def _children(pid):
-    """The pids of ``pid``'s child processes, from every thread's ``children`` list."""
-    tasks = pathlib.Path(f"/proc/{pid}/task")
-    try:
-        return [int(c) for task in tasks.iterdir() for c in (task / "children").read_text().split()]
-    except FileNotFoundError:  # the process or one of its threads has just exited
-        return []
+def _first_children(pid, deadline):
+    """``pid``'s children once it has any, or [] at ``deadline`` (monotonic s)."""
+    while not (found := children(pid)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return found
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="chains run in workers on Linux only")
 class TestHuntChainsInWorkers:
-    """A round's second chain runs in a forked worker when two CPUs are usable."""
+    """A round's second chain runs in a forked worker when two CPUs are usable.
+
+    The killed- and interrupted-caller cases also cover ``ll-check``'s worker.
+    """
 
     @staticmethod
     def _cpus(monkeypatch, n):
-        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @staticmethod
     def _rounds(monkeypatch):
-        """Whether each round had a pool, and its chains' final snapshots."""
-        rounds = []
-        collect_round = pipeline._collect_round
+        """Whether each round forked a worker, and its chains' final snapshots."""
+        rounds, forks = [], []
+        fork, collect_round = os.fork, pipeline._collect_round
 
-        def recorded(pool, *args):
-            results = collect_round(pool, *args)
-            rounds.append((pool is not None, [r.chain.snapshot() for r in results]))
+        def counted_fork():
+            forks.append(None)  # a worker appends to its own copy
+            return fork()
+
+        def recorded(*args):
+            before = len(forks)
+            results = collect_round(*args)
+            rounds.append((len(forks) > before, [r.chain.snapshot() for r in results]))
             return results
 
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(pipeline, "_collect_round", recorded)
         return rounds
 
@@ -246,13 +242,12 @@ class TestHuntChainsInWorkers:
             plan = HuntPlan(p0=P0, iterations=20_000, rounds=2, config=TmcmcConfig(seed=9),
                             out_path=out)
             result = hunt_general(plan)
-            assert [pooled for pooled, _ in rounds] == [cpus > 1] * 2
+            assert [forked for forked, _ in rounds] == [cpus > 1] * 2
             outcomes[cpus] = (result.records, result.stats.summary(),
                               result.stats.intersection_report(),
                               [snaps for _, snaps in rounds], out.read_bytes())
         assert outcomes[2][0]  # the file held some primes; the hunt found others
         assert outcomes[2] == outcomes[1]
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("refused", [TargetKind.GENERAL_H1, TargetKind.GENERAL_H2],
                              ids=["in-caller", "in-worker"])
@@ -269,57 +264,55 @@ class TestHuntChainsInWorkers:
         assert type(caught.value) is DomainError
         pid = int(caught.value.args[0].rsplit(" ", 1)[1])
         assert (pid == os.getpid()) == (refused is TargetKind.GENERAL_H1)
-        assert multiprocessing.active_children() == []
 
-    def test_worker_dies_with_a_killed_caller(self):
-        # a caller killed by SIGTERM never shuts its pool down
-        with subprocess.Popen([sys.executable, "-c", KILLED_HUNT], env=_env_with_src(),
-                              stdout=subprocess.PIPE, text=True) as done:
+    @pytest.mark.parametrize("command", list(LONG_COMMANDS))
+    def test_worker_dies_with_a_killed_caller(self, command):
+        # a caller killed by SIGTERM never reaps its worker
+        argv = [sys.executable, "-c", TWO_CPU_COMMAND, *LONG_COMMANDS[command]]
+        with subprocess.Popen(argv, env=_env_with_src(), stdout=subprocess.DEVNULL) as done:
             try:
-                worker = int(done.stdout.readline())
+                workers = _first_children(done.pid, time.monotonic() + 20)
             finally:
                 done.terminate()
-        assert worker != done.pid
+        assert workers, f"{command} started no worker"
         assert done.returncode == -signal.SIGTERM
-        deadline = time.monotonic() + 20
-        while not _ended(worker) and time.monotonic() < deadline:
+        deadline = time.monotonic() + 5
+        while not all(ended(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.05)
-        ended = _ended(worker)
-        if not ended:
-            os.kill(worker, signal.SIGKILL)
-        assert ended, f"worker {worker} outlived its caller"
+        alive = [pid for pid in workers if not ended(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"workers {alive} outlived their caller"
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
-    def test_interrupted_caller_kills_its_worker(self):
+    @pytest.mark.parametrize("command", list(LONG_COMMANDS))
+    def test_interrupted_caller_kills_its_worker(self, command):
         # SIGINT to the caller alone, as ``kill -INT`` sends it (a terminal's
         # Ctrl-C reaches the whole process group): the caller must not wait
-        # for the worker's chain to finish
-        argv = [sys.executable, "-m", "prime_oracle", "hunt", "--p0", "999983",
-                "--iters", "3000000"]
+        # for the worker's share to finish
+        argv = [sys.executable, "-m", "prime_oracle", *LONG_COMMANDS[command]]
         with subprocess.Popen(argv, env=_env_with_src(), stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True) as hunt:
-            deadline = time.monotonic() + 20
-            while not (workers := _children(hunt.pid)) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            hunt.send_signal(signal.SIGINT)
+                              stderr=subprocess.PIPE, text=True) as done:
+            workers = _first_children(done.pid, time.monotonic() + 20)
+            done.send_signal(signal.SIGINT)
             sent = time.monotonic()
             try:
-                hunt.wait(timeout=5)
+                done.wait(timeout=5)
             finally:
-                hunt.kill()
+                done.kill()
             elapsed = time.monotonic() - sent
-            stderr = hunt.stderr.read()
-        assert workers, "the hunt started no worker"
-        assert hunt.returncode == -signal.SIGINT, stderr
+            stderr = done.stderr.read()
+        assert workers, f"{command} started no worker"
+        assert done.returncode == -signal.SIGINT, stderr
         assert stderr.rstrip().endswith("KeyboardInterrupt"), stderr
-        assert elapsed < 1.0, f"the interrupted hunt took {elapsed:.2f} s to exit"
-        assert all(_ended(pid) for pid in workers)
+        assert elapsed < 1.0, f"the interrupted {command} took {elapsed:.2f} s to exit"
+        assert all(ended(pid) for pid in workers)
 
     def test_mersenne_runs_in_the_caller(self, monkeypatch):
         self._cpus(monkeypatch, 2)
         rounds = self._rounds(monkeypatch)
         hunt_mersenne(HuntPlan(p0=TWIN_P0, iterations=2000, config=TmcmcConfig(seed=4)))
-        assert [pooled for pooled, _ in rounds] == [False]
+        assert [forked for forked, _ in rounds] == [False]
 
 
 class TestHuntMersenne:

@@ -13,6 +13,7 @@ from prime_oracle.specialfn import (
     RH_SQRT,
     X_OVER_LOG,
     error_density,
+    error_forms,
     error_integral_raw,
     rh_eps,
 )
@@ -27,6 +28,8 @@ from prime_oracle.tmcmc import (
     make_log_target,
     run_steps,
 )
+
+from prime_oracle.pipeline import solve_k
 
 from collect import run_steps as reference_steps
 
@@ -114,6 +117,29 @@ class TestLogTarget:
         HuntTarget(TargetKind.GENERAL_H1, 2, 1, MT)
         with pytest.raises(DomainError):
             HuntTarget(TargetKind.GENERAL_H2, 2, 1, MT)
+
+    @pytest.mark.parametrize("p0", [999_983, 140_000_041])
+    def test_mt_float_path_within_two_ulps_of_the_array_path(self, p0):
+        # The log target takes the MT form on Python floats, where ``** 0.5``
+        # calls ``pow``, while an array takes ``sqrt``, and ``math.log`` and
+        # ``np.log`` may round apart.  Over 1e5 seeded points near p0, 21
+        # (p0 = 999983) and 29 (1.4e8) of the two log F_raw differed, by at
+        # most 2 ulps.
+        log_raw, _ = error_forms(MT)
+        zs = np.random.default_rng(0).uniform(0.0, math.log(1e4), 10**5).tolist()
+        us = [math.exp(z) + p0 for z in zs]  # as the target forms them
+        lus = [math.log(u) for u in us]
+        floats = np.array([log_raw(lu, math.log(lu)) for lu in lus])
+        lg = np.log(np.array(us))
+        arrays = log_raw(lg, np.log(lg))
+        ulps = np.abs(floats.view(np.int64) - arrays.view(np.int64))
+        assert ulps.max() <= 2, (np.count_nonzero(ulps), ulps.max())
+        # and the target is those floats, term for term
+        k = solve_k(p0)
+        log_t = make_log_target(HuntTarget(TargetKind.GENERAL_H1, p0, k, MT))
+        for z, lu in list(zip(zs, lus))[:1000]:
+            llu = math.log(lu)
+            assert log_t(z) == -llu - k * (lu + log_raw(lu, llu) - llu) + z
 
     def test_initial_state(self):
         assert initial_z(HuntTarget(TargetKind.GENERAL_H1, P0, K0)) == pytest.approx(
